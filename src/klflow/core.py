@@ -8,11 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 INF = math.inf
+
+
+def check_policy(policy: str, valid: Tuple[str, ...]) -> None:
+    """Reject a branch policy name that is not one of ``valid``."""
+    if policy not in valid:
+        raise ValueError(
+            f"unknown policy {policy!r}; valid policies: {', '.join(valid)}"
+        )
 
 
 def as_point(x) -> np.ndarray:
@@ -53,7 +61,10 @@ class Functional:
     ``value`` may return ``math.inf`` outside the effective domain.
     ``analytic_slope`` (exact descending slope) and ``smooth_gradient`` are
     optional oracles; ``smooth_gradient`` returns ``None`` at points where the
-    objective is not differentiable.
+    objective is not differentiable.  ``batch_value`` is an optional batched
+    form of ``value``: it maps an (m, dim) array of points to their m values
+    and must agree with ``value`` bit for bit, because the dense scans that
+    use it select candidates by exact comparisons.
     """
 
     label: str
@@ -61,12 +72,54 @@ class Functional:
     backend: EuclideanBackend
     analytic_slope: Optional[Callable[[np.ndarray], float]] = None
     smooth_gradient: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
+    batch_value: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
+
+    def values(self, points) -> np.ndarray:
+        """Values at the rows of an (m, dim) array, as an (m,) float array.
+
+        Uses ``batch_value`` when present and a loop over ``value`` otherwise.
+        """
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.backend.dimension:
+            raise ValueError(
+                f"values expects an (m, {self.backend.dimension}) array, "
+                f"got shape {pts.shape}"
+            )
+        if self.batch_value is None:
+            return np.array([self.value(p) for p in pts], dtype=float)
+        return np.asarray(self.batch_value(pts), dtype=float)
 
     def gradient(self, x) -> Optional[np.ndarray]:
         if self.smooth_gradient is None:
             return None
         g = self.smooth_gradient(np.asarray(x, dtype=float))
         return None if g is None else np.asarray(g, dtype=float)
+
+
+@dataclass
+class DenseScan:
+    """A batched objective sampled on an even 1-d grid."""
+
+    grid: np.ndarray
+    values: np.ndarray
+    basins: np.ndarray  # indices of grid points not above either neighbour
+
+
+def dense_scan(
+    objective: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int
+) -> DenseScan:
+    """Evaluate ``objective`` on ``np.linspace(lo, hi, n)`` in one batch.
+
+    ``objective`` maps the (n,) grid to (n,) values.  Every basin of the
+    sampled objective holds at least one of the returned ``basins`` indices,
+    so refining around them finds every local minimiser the grid resolves.
+    """
+    grid = np.linspace(lo, hi, n)
+    vals = np.asarray(objective(grid), dtype=float)
+    low = np.ones(n, dtype=bool)
+    low[1:] &= vals[1:] <= vals[:-1]
+    low[:-1] &= vals[:-1] <= vals[1:]
+    return DenseScan(grid, vals, np.flatnonzero(low))

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import EuclideanBackend, Functional, as_point
+from .core import EuclideanBackend, Functional, as_point, dense_scan
 from .theta import ParameterFunction, make_power_theta
 
 
@@ -50,6 +50,27 @@ def _scalar_center(center) -> np.ndarray:
     return as_point(center)
 
 
+def _float_pow(base: np.ndarray, p: float) -> np.ndarray:
+    """``b ** p`` on each element as a Python float.
+
+    numpy's ``**``, ``np.square`` and ``np.power`` round differently from the
+    C ``pow`` behind Python floats on a fraction of inputs (``p = 2``
+    included), and the batched oracles must match the scalar ones exactly.
+    """
+    return np.array([b**p for b in base.tolist()], dtype=float)
+
+
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, rounded as the 1-d call rounds it.
+
+    That call is ``sqrt(dot(d, d))``; in several dimensions the BLAS dot
+    rounds differently from a vectorised sum of squares, so it is kept.
+    """
+    if diff.shape[1] == 1:
+        return np.sqrt(diff[:, 0] * diff[:, 0])
+    return np.sqrt([row.dot(row) for row in diff])
+
+
 def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
     """f(x) = lam/2 * d(x, center)^2 on R^n."""
     lam = float(lam)
@@ -60,6 +81,9 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
 
     def value(x):
         return 0.5 * lam * float(np.sum((x - c) ** 2))
+
+    def batch_value(xs):
+        return 0.5 * lam * np.sum((xs - c) ** 2, axis=1)
 
     def slope(x):
         return lam * float(np.linalg.norm(x - c))
@@ -91,6 +115,7 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
         functional=Functional(
             label=f"quadratic(lam={lam}, center={c.tolist()})",
             value=value,
+            batch_value=batch_value,
             backend=backend,
             analytic_slope=slope,
             smooth_gradient=gradient,
@@ -115,6 +140,9 @@ def make_double_well(lam: float = 1.0, a: float = 1.0) -> CorpusEntry:
     def value(x):
         return 0.5 * lam * (abs(float(x[0])) - a) ** 2
 
+    def batch_value(xs):
+        return 0.5 * lam * _float_pow(np.abs(xs[:, 0]) - a, 2)
+
     def slope(x):
         return lam * abs(abs(float(x[0])) - a)
 
@@ -131,7 +159,7 @@ def make_double_well(lam: float = 1.0, a: float = 1.0) -> CorpusEntry:
             return -1.0
         if policy == "positive-branch":
             return 1.0
-        # negative-branch; lexicographic picks the smaller coordinate
+        # negative-branch and lexicographic both pick the smaller coordinate
         return -1.0
 
     def trajectory(x0, policy="positive-branch"):
@@ -165,6 +193,7 @@ def make_double_well(lam: float = 1.0, a: float = 1.0) -> CorpusEntry:
         functional=Functional(
             label=f"double-well(lam={lam}, a={a})",
             value=value,
+            batch_value=batch_value,
             backend=backend,
             analytic_slope=slope,
             smooth_gradient=gradient,
@@ -194,6 +223,10 @@ def make_truncated_parabola(x_ref: float = 1.0) -> CorpusEntry:
     def value(x):
         v = float(x[0])
         return v * v if v >= 0 else plateau
+
+    def batch_value(xs):
+        v = xs[:, 0]
+        return np.where(v >= 0, v * v, plateau)
 
     def slope(x):
         v = float(x[0])
@@ -249,6 +282,7 @@ def make_truncated_parabola(x_ref: float = 1.0) -> CorpusEntry:
         functional=Functional(
             label=f"truncated-parabola(x_ref={x_ref})",
             value=value,
+            batch_value=batch_value,
             backend=backend,
             analytic_slope=slope,
             smooth_gradient=gradient,
@@ -285,6 +319,10 @@ def make_staircase(m: float = 1.0, eps: float = 0.1) -> CorpusEntry:
             return m * v
         return m * v + eps
 
+    def batch_value(xs):
+        v = xs[:, 0]
+        return np.where(v <= 0, 0.0, np.where(v <= 1.0, m * v, m * v + eps))
+
     def slope(x):
         v = float(x[0])
         return m if v > 0 else 0.0
@@ -315,6 +353,7 @@ def make_staircase(m: float = 1.0, eps: float = 0.1) -> CorpusEntry:
         functional=Functional(
             label=f"staircase(m={m}, eps={eps})",
             value=value,
+            batch_value=batch_value,
             backend=backend,
             analytic_slope=slope,
             smooth_gradient=gradient,
@@ -353,6 +392,12 @@ def make_asymmetric_double_well(
         vr, vl = branches(float(x[0]))
         return min(vr, vl)
 
+    def batch_value(xs):
+        v = xs[:, 0]
+        vr = np.maximum(0.5 * lam * _float_pow(v - a, 2), eps)
+        vl = 0.5 * lam * _float_pow(v + a, 2)
+        return np.minimum(vr, vl)
+
     def slope(x):
         v = float(x[0])
         vr, vl = branches(v)
@@ -390,6 +435,7 @@ def make_asymmetric_double_well(
         functional=Functional(
             label=f"asymmetric-double-well(lam={lam}, a={a}, eps={eps})",
             value=value,
+            batch_value=batch_value,
             backend=backend,
             analytic_slope=slope,
             smooth_gradient=gradient,
@@ -417,6 +463,9 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
 
     def value(x):
         return scale * float(np.linalg.norm(x - c)) ** p
+
+    def batch_value(xs):
+        return scale * _float_pow(_row_norms(xs - c), p)
 
     def slope(x):
         d = float(np.linalg.norm(x - c))
@@ -479,6 +528,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
         functional=Functional(
             label=f"power-potential(p={p}, scale={scale}, center={c.tolist()})",
             value=value,
+            batch_value=batch_value,
             backend=backend,
             analytic_slope=slope,
             smooth_gradient=gradient,
@@ -519,6 +569,13 @@ def make_sharpness(
             return 0.0
         return pf.theta_inverse(v + eps)
 
+    def batch_value(xs):
+        v = xs[:, 0]
+        out = np.where(v <= 0, v0, 0.0)
+        ramp = (v > 0) & (v < big_m)
+        out[ramp] = [pf.theta_inverse(u) for u in (v[ramp] + eps).tolist()]
+        return out
+
     def slope(x):
         v = float(x[0])
         if v <= 0 or v >= big_m:
@@ -543,6 +600,7 @@ def make_sharpness(
         functional=Functional(
             label=f"sharpness(c={c}, gamma={gamma}, M={big_m}, eps={eps})",
             value=value,
+            batch_value=batch_value,
             backend=backend,
             analytic_slope=slope,
             smooth_gradient=gradient,
@@ -579,8 +637,8 @@ def brute_force_minimiser(
     if f.backend.dimension != 1:
         raise ValueError("brute_force_minimiser supports 1-D functionals")
     lo, hi = float(box[0]), float(box[1])
-    xs = np.linspace(lo, hi, grid_points)
-    vals = np.array([f.value(np.array([x])) for x in xs])
+    scan = dense_scan(lambda g: f.values(g[:, None]), lo, hi, grid_points)
+    xs, vals = scan.grid, scan.values
     i_best = int(np.argmin(vals))
     v_best = float(vals[i_best])
     h = (hi - lo) / (grid_points - 1)

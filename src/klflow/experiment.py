@@ -82,6 +82,11 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # reject bad control keys and policy names before anything runs
+        FlowControls(**self.flow_controls)
+        ProxControls(**self.prox_controls)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         data = dict(raw)
@@ -169,10 +174,16 @@ class SuiteReport:
 
 
 def _plain(obj):
+    """JSON-ready copy of obj; non-finite floats become "nan", "inf", "-inf"."""
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -181,8 +192,6 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in sorted(obj.items(), key=lambda p: str(p[0]))}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -487,6 +496,10 @@ def _run_prox_mode(
                 (m["stationarity_margin"] for m in mono), default=math.inf
             ),
             "policy": seq.policy,
+            # steps whose resolvent came from multistart search (dimension
+            # > 1) rather than the exhaustive 1-d scan
+            "uncertified_steps": sum(not s.certified for s in seq.steps),
+            "resolvent_evals": sum(s.n_evals for s in seq.steps),
         }
     )
     if not mono_ok:

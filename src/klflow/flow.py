@@ -25,11 +25,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .conditions import ConditionReport
-from .core import INF, EuclideanBackend, Functional, as_point
+from .core import INF, EuclideanBackend, Functional, as_point, check_policy
 from .sampling import unit_directions
 from .theta import AuxiliaryFunctions, ParameterFunction
 
 DEFAULT_CERT_TOL = 1e-7
+FLOW_POLICIES = ("positive-branch", "negative-branch", "lexicographic")
 
 
 @dataclass
@@ -46,8 +47,13 @@ class FlowControls:
     event_dt_floor: float = 1e-9
     kink_kick: float = 1e-9  # displacement used to leave a descent kink
     probe_delta: float = 1e-7
-    policy: str = "positive-branch"  # positive-branch | negative-branch | lexicographic
+    # lexicographic behaves exactly like negative-branch: both take the
+    # canonical smallest of the tied descent directions
+    policy: str = "positive-branch"
     max_steps: int = 2_000_000
+
+    def __post_init__(self) -> None:
+        check_policy(self.policy, FLOW_POLICIES)
 
 
 @dataclass

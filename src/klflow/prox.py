@@ -22,11 +22,23 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from .core import INF, EuclideanBackend, Functional, as_point
+from .core import (
+    INF,
+    EuclideanBackend,
+    Functional,
+    as_point,
+    check_policy,
+    dense_scan,
+)
 from .flow import DEFAULT_CERT_TOL, RateCertificate, _certificate, _skipped
 from .sampling import ball_sample
 from .slope import descending_slope
 from .theta import AuxiliaryFunctions, ParameterFunction
+
+
+PROX_POLICIES = (
+    "smallest-distance", "positive-branch", "negative-branch", "lexicographic"
+)
 
 
 @dataclass
@@ -44,6 +56,9 @@ class ProxControls:
     de_giorgi_grid: int = 257
     box_slack: float = 1e-6
     n_starts: int = 32  # multistart count for dimension > 1
+
+    def __post_init__(self) -> None:
+        check_policy(self.policy, PROX_POLICIES)
 
 
 @dataclass
@@ -67,6 +82,8 @@ class ProxStep:
     slope_to: float
     n_candidates: int
     de_giorgi: float = math.nan
+    certified: bool = True  # resolvent found by exhaustive 1-d scan
+    n_evals: int = 0  # objective evaluations spent by the resolvent
 
 
 @dataclass
@@ -96,6 +113,16 @@ def _phi(f: Functional, x: np.ndarray, tau: float):
     def phi(z: np.ndarray) -> float:
         diff = z - x
         return f.value(z) + float(diff @ diff) / (2.0 * tau)
+
+    return phi
+
+
+def _phi_batch(f: Functional, xval: float, tau: float):
+    """``_phi`` on a 1-d grid, with the scalar operation order."""
+
+    def phi(grid: np.ndarray) -> np.ndarray:
+        diff = grid - xval
+        return f.values(grid[:, None]) + (diff * diff) / (2.0 * tau)
 
     return phi
 
@@ -190,18 +217,15 @@ def resolvent(
 
     if x.size == 1:
         xval = float(x[0])
-        grid = np.linspace(xval - radius, xval + radius, c.n_grid)
-        vals = np.array([phi(np.array([z])) for z in grid])
+        scan = dense_scan(
+            _phi_batch(f, xval, tau), xval - radius, xval + radius, c.n_grid
+        )
+        grid, vals = scan.grid, scan.values
         n_evals = c.n_grid
-        # basin representatives: grid points not above either neighbour
-        cand = [
-            i
-            for i in range(c.n_grid)
-            if (i == 0 or vals[i] <= vals[i - 1])
-            and (i == c.n_grid - 1 or vals[i] <= vals[i + 1])
-        ]
         best_grid = vals.min()
-        cand = [i for i in cand if vals[i] <= best_grid + 1e-6 * (1.0 + abs(best_grid))]
+        cand = [
+            i for i in scan.basins if vals[i] <= best_grid + 1e-6 * (1.0 + abs(best_grid))
+        ]
         refined: List[Tuple[float, float]] = []
         for i in cand:
             lo = grid[max(i - 1, 0)]
@@ -334,6 +358,8 @@ def run_prox_sequence(
                     slope_to=sl,
                     n_candidates=len(res.points),
                     de_giorgi=dg,
+                    certified=res.certified,
+                    n_evals=res.n_evals,
                 )
             )
             used_taus.append(t)
@@ -533,12 +559,14 @@ def ioffe_distance_check(
     xval = float(x[0])
     bound = (fx - delta) / v
     lo, hi = box if box is not None else (xval - 4.0 * bound, xval + 4.0 * bound)
-    grid = np.linspace(lo, hi, grid_points)
-    vals = np.array([f.value(np.array([g])) for g in grid])
+    scan = dense_scan(lambda g: f.values(g[:, None]), lo, hi, grid_points)
+    grid, vals = scan.grid, scan.values
     below = vals <= delta
+    strip = (delta < vals) & (vals <= fx) & (np.abs(grid - xval) <= bound + tol)
     dist = INF
     strip_slope = INF
-    for i, g in enumerate(grid):
+    for i in np.flatnonzero(below | strip):
+        g = grid[i]
         if below[i]:
             cand = abs(g - xval)
             # sharpen across the crossing cell when a neighbour is above level
@@ -553,7 +581,7 @@ def ioffe_distance_check(
                     except ValueError:
                         pass
             dist = min(dist, cand)
-        elif delta < vals[i] <= fx and abs(g - xval) <= bound + tol:
+        else:
             strip_slope = min(strip_slope, descending_slope(f, np.array([g])).value)
     return {
         "distance": float(dist),

@@ -1,11 +1,42 @@
 """Closed-form cross-checks for the registered example functionals."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from klflow import brute_force_minimiser, list_corpus, resolve_entry, resolvent
+from klflow.core import EuclideanBackend, Functional, dense_scan
+
+# several parameter sets per corpus factory, for the batched-oracle checks
+BATCH_IDS = [
+    "quadratic?lambda=1",
+    "quadratic?lambda=2.5&center=0.3",
+    "double-well?lambda=1&a=1",
+    "double-well?lambda=2&a=0.7",
+    "truncated-parabola",
+    "truncated-parabola?x_ref=1.7",
+    "staircase",
+    "staircase?m=2&eps=0.3",
+    "staircase?m=0.5&eps=0",
+    "asymmetric-double-well",
+    "asymmetric-double-well?lambda=2&a=1.3&eps=0.2",
+    "power-potential?p=1",
+    "power-potential?p=1.5",
+    "power-potential?p=2",
+    "power-potential?p=2.5&scale=0.7",
+    "power-potential?p=3&center=0.4",
+    "power-potential?p=4&scale=2",
+    "sharpness",
+    "sharpness?eps=0.1",
+    "sharpness?c=0.7&gamma=0.3&M=3&eps=0.05",
+]
+
+
+def _bits(values) -> list:
+    """Raw float64 bit patterns, so that -0.0 and 0.0 (or two NaNs) differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def test_registry_lists_every_entry():
@@ -189,3 +220,76 @@ def test_entry_metadata_sanity():
         assert lo < hi
         for q in e.nonsmooth_points:
             assert lo <= q <= hi
+
+
+@pytest.mark.parametrize("entry_id", BATCH_IDS)
+def test_batched_values_match_scalar_bit_for_bit(entry_id):
+    e = resolve_entry(entry_id)
+    f = e.functional
+    assert f.batch_value is not None
+    lo, hi = e.sample_box
+    # a fine grid past the sample box, plus every kink and jump exactly; it
+    # is dense enough to hit points where numpy's ** rounds differently
+    xs = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 20001), e.nonsmooth_points])
+    pts = xs[:, None]
+    assert _bits(f.values(pts)) == _bits([f.value(p) for p in pts])
+
+
+@pytest.mark.parametrize(
+    "entry_id, center",
+    [
+        ("quadratic?lambda=3&center=1,2", (1.0, 2.0)),
+        ("quadratic?center=0.5,-1,2", (0.5, -1.0, 2.0)),
+        ("power-potential?p=1.5&center=1,2", (1.0, 2.0)),
+        ("power-potential?p=4&scale=2&center=0.5,-1,2", (0.5, -1.0, 2.0)),
+    ],
+)
+def test_batched_values_match_scalar_in_several_dimensions(entry_id, center):
+    f = resolve_entry(entry_id).functional
+    c = np.array(center)
+    rng = np.random.default_rng(7)
+    pts = np.vstack([c, c + rng.normal(scale=2.0, size=(4000, c.size))])
+    assert _bits(f.values(pts)) == _bits([f.value(p) for p in pts])
+
+
+def test_values_without_batch_oracle_loops_over_value():
+    calls = []
+
+    def value(x):
+        calls.append(x.copy())
+        return float(x[0]) ** 2 + float(x[1])
+
+    f = Functional("bare", value, EuclideanBackend(2))
+    out = f.values([[1.0, 0.5], [-2.0, 0.0], [0.5, 1.0]])
+    assert out.dtype == float and out.tolist() == [1.5, 4.0, 1.25]
+    assert [p.tolist() for p in calls] == [[1.0, 0.5], [-2.0, 0.0], [0.5, 1.0]]
+    with pytest.raises(ValueError, match="values expects"):
+        f.values(np.array([1.0, 2.0]))
+
+
+def test_dense_scan_basins_are_points_not_above_either_neighbour():
+    scan = dense_scan(lambda g: np.array([3.0, 1.0, 1.0, 2.0, 0.0, 5.0]), 0.0, 5.0, 6)
+    assert scan.grid.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert scan.basins.tolist() == [1, 2, 4]
+    # endpoints count when not above their one neighbour
+    edges = dense_scan(lambda g: np.abs(g - 0.5), -1.0, 1.0, 5)
+    assert edges.basins.tolist() == [3]
+    assert dense_scan(lambda g: -np.abs(g), -1.0, 1.0, 5).basins.tolist() == [0, 4]
+    assert dense_scan(lambda g: g * 0.0, 0.0, 1.0, 1).basins.tolist() == [0]
+
+
+@pytest.mark.parametrize(
+    "entry_id",
+    ["quadratic?lambda=1", "double-well?lambda=1&a=1", "asymmetric-double-well",
+     "staircase?m=1&eps=0.1", "sharpness?eps=0.05", "power-potential?p=1.5"],
+)
+def test_brute_force_same_without_batch_oracle(entry_id):
+    e = resolve_entry(entry_id)
+    bare = dataclasses.replace(
+        e, functional=dataclasses.replace(e.functional, batch_value=None)
+    )
+    got, ref = brute_force_minimiser(e), brute_force_minimiser(bare)
+    assert _bits(got.point) == _bits(ref.point)
+    assert _bits([got.value]) == _bits([ref.value])
+    assert [_bits(t) for t in got.ties] == [_bits(t) for t in ref.ties]
+    assert got.on_boundary == ref.on_boundary

@@ -261,6 +261,65 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unknown_policy_fails_at_load_and_cli_exits_2(tmp_path, capsys):
+    with pytest.raises(ValueError, match="unknown policy 'negative'"):
+        ExperimentConfig.from_dict(dict(PROX_CFG, prox_controls={"policy": "negative"}))
+    # variants are checked too, before any run starts
+    cfg = dict(FLOW_CFG, variants=[{"flow_controls": {"policy": "smallest-distance"}}])
+    with pytest.raises(ValueError, match="valid policies: positive-branch"):
+        ExperimentConfig.from_dict(cfg).expand()
+    bad = tmp_path / "bad-policy.yaml"
+    bad.write_text(yaml.safe_dump(dict(PROX_CFG, prox_controls={"policy": "negative"})))
+    assert cli_main(["run", str(bad), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown policy 'negative'" in err and "smallest-distance" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_condition_reports_parse_as_strict_json(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    cfg = ExperimentConfig.from_dict(
+        {
+            "id": "cond",
+            "mode": "condition",
+            "functional": "sharpness?eps=0.05",
+            "x0": 1.0,
+            "radii": [0.5, 1.0],
+            "variants": [{"id": "cond-q", "functional": "quadratic?lambda=1"}, {}],
+        }
+    )
+    for run in cfg.expand():
+        run_experiment(run, output_root=tmp_path)
+    reports = sorted(tmp_path.rglob("report.json"))
+    assert len(reports) == 2
+    for path in reports:
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        # the C variants have no theta budget: it is written as "nan"
+        assert payload["condition"]["C"]["theta_budget"] == "nan"
+
+
+def test_prox_summary_reports_resolvent_facts(tmp_path):
+    one_d = run_experiment(ExperimentConfig.from_dict(PROX_CFG), output_root=tmp_path)
+    assert one_d.prox_summary["uncertified_steps"] == 0
+    assert one_d.prox_summary["resolvent_evals"] > 1025
+    two_d = ExperimentConfig.from_dict(
+        {
+            "id": "q2d",
+            "mode": "prox",
+            "functional": "quadratic?center=0,0",
+            "x0": [1.0, 0.5],
+            "tau": 0.5,
+            "n_steps": 3,
+        }
+    )
+    rep = run_experiment(two_d, output_root=tmp_path)
+    assert rep.prox_summary["uncertified_steps"] == 3
+    header = (tmp_path / "q2d" / "sequence.csv").read_text().splitlines()[0]
+    assert header == "k,x_1,x_2,f,dist_step,slope,de_giorgi_residual"
+
+
 def test_cli_suite_and_list(tmp_path, capsys):
     manifest = tmp_path / "suite.yaml"
     manifest.write_text(yaml.safe_dump([dict(RECURSION_CFG)]))

@@ -177,3 +177,10 @@ def test_integration_is_deterministic():
     assert np.array_equal(a.ts, b.ts)
     assert np.array_equal(a.xs, b.xs)
     assert np.array_equal(a.fs, b.fs)
+
+
+def test_unknown_flow_policy_is_rejected():
+    valid = "valid policies: positive-branch, negative-branch, lexicographic"
+    with pytest.raises(ValueError, match=valid):
+        FlowControls(policy="smallest-distance")
+    assert FlowControls(policy="lexicographic").policy == "lexicographic"

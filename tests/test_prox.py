@@ -1,5 +1,6 @@
 """Proximal steps, discrete rate certificates, and the recursion machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -300,3 +301,73 @@ def test_sequence_csv_is_deterministic(tmp_path):
     lines = p1.read_text().splitlines()
     assert lines[0] == "k,x_1,f,dist_step,slope,de_giorgi_residual"
     assert len(lines) == 1 + seq.n_iterates
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _without_batch(f):
+    return dataclasses.replace(f, batch_value=None)
+
+
+@pytest.mark.parametrize(
+    "entry_id, x, tau",
+    [
+        ("quadratic?lambda=1", 1.0, 0.5),
+        ("double-well?lambda=1&a=1", 0.0, 0.5),  # two tied minimisers
+        ("double-well?lambda=2&a=0.7", 1.9, 0.3),
+        ("truncated-parabola", -1.0, 1.0),  # knife-edge jump tie
+        ("staircase?m=1&eps=0.1", 1.05, 0.3),
+        ("asymmetric-double-well", -0.2, 0.8),
+        ("power-potential?p=1", 0.3, 0.3),  # lands on the kink
+        ("power-potential?p=4", 1.3, 0.2),
+        ("sharpness?eps=0.1", 1.0, 0.4),
+    ],
+)
+def test_resolvent_same_without_batch_oracle(entry_id, x, tau):
+    f = resolve_entry(entry_id).functional
+    for controls in (ProxControls(), ProxControls(n_grid=257)):
+        got = resolvent(f, np.array([x]), tau, controls)
+        ref = resolvent(_without_batch(f), np.array([x]), tau, controls)
+        assert [_bits(p) for p in got.points] == [_bits(p) for p in ref.points]
+        assert _bits([got.objective]) == _bits([ref.objective])
+        assert _bits(got.f_values) == _bits(ref.f_values)
+        assert (got.certified, got.n_evals) == (ref.certified, ref.n_evals)
+
+
+@pytest.mark.parametrize(
+    "entry_id, x, delta, v",
+    [
+        ("quadratic?lambda=1", 2.0, 0.5, 1.0),
+        ("quadratic?lambda=1", 2.0, 0.5, 4.0),
+        ("double-well?lambda=1&a=1", 0.2, 0.05, 0.5),
+        ("staircase?m=1&eps=0.1", 1.5, 0.3, 1.0),
+        ("truncated-parabola", 1.2, 0.2, 1.5),
+    ],
+)
+def test_ioffe_check_same_without_batch_oracle(entry_id, x, delta, v):
+    f = resolve_entry(entry_id).functional
+    got = ioffe_distance_check(f, np.array([x]), delta, v)
+    ref = ioffe_distance_check(_without_batch(f), np.array([x]), delta, v)
+    assert got == ref
+
+
+def test_prox_steps_carry_resolvent_facts():
+    e1 = resolve_entry("double-well?lambda=1&a=1")
+    seq = run_prox_sequence(e1.functional, np.array([0.0]), 0.5, n_steps=3)
+    assert all(s.certified for s in seq.steps)
+    assert seq.steps[0].n_candidates == 2
+    for s in seq.steps:
+        res = resolvent(e1.functional, s.from_point, s.tau)
+        assert s.n_evals == res.n_evals > ProxControls().n_grid
+    e2 = resolve_entry("quadratic?center=0,0")
+    seq2 = run_prox_sequence(e2.functional, np.array([1.0, 0.5]), 0.5, n_steps=2)
+    assert [s.certified for s in seq2.steps] == [False, False]
+    assert all(s.n_evals > 0 for s in seq2.steps)
+
+
+def test_unknown_policy_is_rejected():
+    with pytest.raises(ValueError, match="smallest-distance, positive-branch"):
+        ProxControls(policy="postive-branch")
+    ProxControls(policy="lexicographic")
