@@ -1,0 +1,115 @@
+"""Rate certificates: observed values against predicted bounds.
+
+A certificate keeps the series a decay claim was checked on (``ts``,
+``predicted``, ``observed``), the signed margin bound - observed and a
+verdict at a stated tolerance.  Flow, prox and the experiment runner build
+every certificate through ``certificate`` (``skipped_certificate`` for a
+claim that could not be tested), and the runner summarises them for
+``report.json`` with ``certificate_to_dict``.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
+
+from .core import INF, plain
+
+DEFAULT_CERT_TOL = 1e-7
+
+
+@dataclass
+class RateCertificate:
+    kind: str
+    ts: np.ndarray
+    predicted: np.ndarray
+    observed: np.ndarray
+    margin: float
+    verdict: bool
+    t_star: float
+    tol: float
+    skipped: bool = False
+    details: dict = field(default_factory=dict)
+
+
+def min_margin(predicted: np.ndarray, observed: np.ndarray) -> float:
+    """Smallest predicted - observed over the samples where it is not NaN."""
+    diff = predicted - observed
+    diff = diff[~np.isnan(diff)]
+    return float(diff.min()) if diff.size else INF
+
+
+def certificate(
+    kind: str,
+    ts: np.ndarray,
+    predicted: np.ndarray,
+    observed: np.ndarray,
+    t_star: float,
+    tol: float,
+    details: Optional[dict] = None,
+    *,
+    margin: Optional[float] = None,
+    verdict: Optional[bool] = None,
+    skipped: bool = False,
+) -> RateCertificate:
+    """A certificate whose margin and verdict follow from its series.
+
+    ``margin`` defaults to ``min_margin(predicted, observed)``; pass it when
+    the claim is checked on more than the stored series (all pairs, a step
+    count).  ``verdict`` defaults to ``margin >= -tol``; pass it for a claim
+    judged by another rule.
+    """
+    if margin is None:
+        margin = min_margin(predicted, observed)
+    return RateCertificate(
+        kind=kind,
+        ts=ts,
+        predicted=predicted,
+        observed=observed,
+        margin=float(margin),
+        verdict=bool(margin >= -tol if verdict is None else verdict),
+        t_star=t_star,
+        tol=tol,
+        skipped=skipped,
+        details=details or {},
+    )
+
+
+def skipped_certificate(
+    kind: str, t_star: float, tol: float, reason: str
+) -> RateCertificate:
+    """A claim that could not be tested: no samples, infinite margin, passing."""
+    empty = np.zeros(0)
+    return certificate(
+        kind, empty, empty, empty, t_star, tol, {"reason": reason}, skipped=True
+    )
+
+
+def is_discrete(cert: RateCertificate) -> bool:
+    """Whether the certificate is indexed by step ``k`` rather than time ``t``."""
+    return cert.kind.startswith("discrete") or cert.kind in (
+        "finite-termination",
+        "recursive-bound",
+        "limit-optimality",
+    )
+
+
+def certificate_to_dict(cert: RateCertificate) -> dict:
+    """The JSON summary of a certificate; array-valued details are left out."""
+    return plain(
+        {
+            "kind": cert.kind,
+            "margin": cert.margin,
+            "verdict": cert.verdict,
+            "t_star": cert.t_star,
+            "tol": cert.tol,
+            "skipped": cert.skipped,
+            "n_samples": int(cert.ts.size),
+            "details": {
+                k: v
+                for k, v in cert.details.items()
+                if not isinstance(v, np.ndarray)
+            },
+        }
+    )

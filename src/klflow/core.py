@@ -2,17 +2,22 @@
 
 Points are plain 1-D float arrays.  Objectives take values in [0, +inf];
 ``math.inf`` marks points outside the effective domain and compares greater
-than every finite value, which is all the extended arithmetic we need.
+than every finite value, which is all the extended arithmetic we need.  The
+module also holds what every layer shares: the branch policies, the dense
+scan, and the JSON and CSV output formats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 INF = math.inf
+
+FLOW_POLICIES = ("positive-branch", "negative-branch", "lexicographic")
+PROX_POLICIES = ("smallest-distance", *FLOW_POLICIES)
 
 
 def check_policy(policy: str, valid: Tuple[str, ...]) -> None:
@@ -21,6 +26,63 @@ def check_policy(policy: str, valid: Tuple[str, ...]) -> None:
         raise ValueError(
             f"unknown policy {policy!r}; valid policies: {', '.join(valid)}"
         )
+
+
+def pick_branch(candidates: Sequence, policy: str, x=None):
+    """The candidate a branch policy selects among tied candidates.
+
+    Candidates are points or directions, compared by their coordinates:
+    ``positive-branch`` takes the lexicographically largest,
+    ``negative-branch`` the smallest, and ``lexicographic`` is an alias of
+    ``negative-branch``.  ``smallest-distance`` takes the candidate nearest
+    to ``x``, distance ties going to the smallest coordinates.
+    """
+    check_policy(policy, PROX_POLICIES)
+    if len(candidates) == 1:
+        return candidates[0]
+    if policy == "smallest-distance":
+        return min(
+            candidates,
+            key=lambda z: (float(np.linalg.norm(np.asarray(z) - x)), tuple(z)),
+        )
+    if policy == "positive-branch":
+        return max(candidates, key=tuple)
+    return min(candidates, key=tuple)
+
+
+def plain(obj):
+    """JSON-ready copy of obj; non-finite floats become "nan", "inf", "-inf"."""
+    if isinstance(obj, np.ndarray):
+        return [plain(v) for v in obj.tolist()]
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, dict):
+        return {str(k): plain(v) for k, v in sorted(obj.items(), key=lambda p: str(p[0]))}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+def write_csv(path, columns: Dict[str, Sequence]) -> None:
+    """Write named columns as CSV, one LF-terminated line per row.
+
+    Columns are numpy arrays or lists of Python numbers.  Every cell is
+    written with ``repr``, so floats round-trip bit for bit and integers
+    stay integers.
+    """
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in zip(*cells)]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def as_point(x) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import EuclideanBackend, Functional, as_point, dense_scan
+from .core import EuclideanBackend, Functional, as_point, dense_scan, pick_branch
 from .theta import ParameterFunction, make_power_theta
 
 
@@ -152,19 +152,12 @@ def make_double_well(lam: float = 1.0, a: float = 1.0) -> CorpusEntry:
             return None
         return np.array([lam * (v - a) if v > 0 else lam * (v + a)])
 
-    def branch_sign(x0: float, policy: str) -> float:
-        if x0 > 0:
-            return 1.0
-        if x0 < 0:
-            return -1.0
-        if policy == "positive-branch":
-            return 1.0
-        # negative-branch and lexicographic both pick the smaller coordinate
-        return -1.0
-
     def trajectory(x0, policy="positive-branch"):
         v0 = float(as_point(x0)[0])
-        s = branch_sign(v0, policy)
+        if v0 == 0.0:  # on the ridge the branch policy picks the well
+            (s,) = pick_branch([(-1.0,), (1.0,)], policy, [v0])
+        else:
+            s = math.copysign(1.0, v0)
 
         def curve(t: float) -> np.ndarray:
             return np.array([s * a + math.exp(-lam * t) * (v0 - s * a)])

@@ -23,19 +23,14 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 import yaml
 
-from .conditions import (
-    ConditionReport,
-    check_condition_A,
-    check_condition_C,
-    estimate_alpha,
+from .certificates import (
+    DEFAULT_CERT_TOL, RateCertificate, certificate, certificate_to_dict, is_discrete
 )
-from .core import Functional, as_point
+from .conditions import ConditionReport, check_condition_A, check_condition_C
+from .core import as_point, plain, write_csv
 from .corpus import CorpusEntry, brute_force_minimiser, resolve_entry
 from .flow import (
-    DEFAULT_CERT_TOL,
     FlowControls,
-    RateCertificate,
-    Trajectory,
     certify_power_family,
     certify_rates_continuous,
     integrate_maximal_slope,
@@ -44,7 +39,6 @@ from .flow import (
 )
 from .prox import (
     ProxControls,
-    ProxSequence,
     certify_power_rates_discrete,
     certify_rates_discrete,
     check_step_monotonicity,
@@ -80,7 +74,6 @@ class ExperimentConfig:
     recursion: Optional[dict] = None
     variants: List[dict] = field(default_factory=list)
     output_dir: Optional[str] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         # reject bad control keys and policy names before anything runs
@@ -173,30 +166,8 @@ class SuiteReport:
 # serialization helpers
 
 
-def _plain(obj):
-    """JSON-ready copy of obj; non-finite floats become "nan", "inf", "-inf"."""
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (float, np.floating)):
-        obj = float(obj)
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in sorted(obj.items(), key=lambda p: str(p[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def _condition_to_dict(rep: ConditionReport) -> dict:
-    return _plain(
+    return plain(
         {
             "condition": rep.condition,
             "holds": rep.holds,
@@ -211,42 +182,15 @@ def _condition_to_dict(rep: ConditionReport) -> dict:
     )
 
 
-def _cert_to_dict(cert: RateCertificate) -> dict:
-    return _plain(
-        {
-            "kind": cert.kind,
-            "margin": cert.margin,
-            "verdict": cert.verdict,
-            "t_star": cert.t_star,
-            "tol": cert.tol,
-            "skipped": cert.skipped,
-            "n_samples": int(cert.ts.size),
-            "details": {
-                k: v
-                for k, v in cert.details.items()
-                if not isinstance(v, np.ndarray)
-            },
-        }
-    )
-
-
-def _is_discrete(cert: RateCertificate) -> bool:
-    return cert.kind.startswith("discrete") or cert.kind in (
-        "finite-termination",
-        "recursive-bound",
-        "limit-optimality",
-    )
-
-
 def _write_cert_csv(cert: RateCertificate, path: Path) -> None:
-    axis = "k" if _is_discrete(cert) else "t"
-    lines = [f"{axis},observed,bound,margin"]
-    for t, pred, obs in zip(cert.ts, cert.predicted, cert.observed):
-        key = str(int(t)) if axis == "k" and float(t).is_integer() else repr(float(t))
-        lines.append(
-            f"{key},{float(obs)!r},{float(pred)!r},{float(pred - obs)!r}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    ts, pred, obs = (
+        np.asarray(a, dtype=float) for a in (cert.ts, cert.predicted, cert.observed)
+    )
+    if is_discrete(cert):  # integral step indices are written as integers
+        axis = {"k": [int(k) if k.is_integer() else k for k in ts.tolist()]}
+    else:
+        axis = {"t": ts}
+    write_csv(path, {**axis, "observed": obs, "bound": pred, "margin": pred - obs})
 
 
 def emit_plot_data(certificates: Sequence[RateCertificate], out_dir) -> List[str]:
@@ -334,16 +278,14 @@ def _limit_optimality_certificate(
     )
     d_anchor = float(np.linalg.norm(limit_point - x0))
     bound = pf.theta(f_x0) + 1e-3
-    cert = RateCertificate(
-        kind="limit-optimality",
-        ts=np.array([0.0]),
-        predicted=np.array([bound]),
-        observed=np.array([d_anchor]),
-        margin=float(bound - d_anchor),
-        verdict=bool(d_anchor <= bound + tol and near_optimal),
-        t_star=0.0,
-        tol=tol,
-        details={
+    return certificate(
+        "limit-optimality",
+        np.array([0.0]),
+        np.array([bound]),
+        np.array([d_anchor]),
+        0.0,
+        tol,
+        {
             "minimiser": [float(v) for v in np.atleast_1d(x_near)],
             "minimum_value": bf.value,
             "f_limit": f_limit,
@@ -351,8 +293,8 @@ def _limit_optimality_certificate(
             "near_optimal": near_optimal,
             "on_boundary": bf.on_boundary,
         },
+        verdict=d_anchor <= bound + tol and near_optimal,
     )
-    return cert
 
 
 def _run_condition_mode(
@@ -417,7 +359,7 @@ def _run_flow_mode(
     trajectory_to_csv(traj, csv_path)
     report.files.append(str(csv_path))
     monotone = bool(np.all(np.diff(traj.fs) <= 1e-12 * (1.0 + np.abs(traj.fs[:-1]))))
-    report.flow_summary = _plain(
+    report.flow_summary = plain(
         {
             "t_end": traj.t_end,
             "t_star": traj.t_star,
@@ -485,7 +427,7 @@ def _run_prox_mode(
     csv_path = run_dir / "sequence.csv"
     sequence_to_csv(seq, csv_path)
     report.files.append(str(csv_path))
-    report.prox_summary = _plain(
+    report.prox_summary = plain(
         {
             **limit_diagnostics(seq),
             "monotonicity_ok": mono_ok,
@@ -520,18 +462,14 @@ def _run_recursion_mode(
     k_max = int(spec["k_max"])
     observed = recursion_equality_sequence(params, k_max)
     bounds = np.array([recursive_bound(params, k) for k in range(k_max + 1)])
-    margins = bounds - observed
-    tol = config.recursion_tol()
-    cert = RateCertificate(
-        kind="recursive-bound",
-        ts=np.arange(k_max + 1, dtype=float),
-        predicted=bounds,
-        observed=observed,
-        margin=float(margins.min()),
-        verdict=bool(margins.min() >= -tol),
-        t_star=float(k_max),
-        tol=tol,
-        details={
+    cert = certificate(
+        "recursive-bound",
+        np.arange(k_max + 1, dtype=float),
+        bounds,
+        observed,
+        float(k_max),
+        config.recursion_tol(),
+        {
             "alpha": params.alpha,
             "delta": params.delta,
             "f0": params.f0,
@@ -543,10 +481,10 @@ def _run_recursion_mode(
     csv_path = run_dir / "recursion.csv"
     _write_cert_csv(cert, csv_path)
     report.files.append(str(csv_path))
-    report.recursion_summary = _plain(
+    report.recursion_summary = plain(
         {
             "k_max": k_max,
-            "worst_margin": margins.min(),
+            "worst_margin": cert.margin,
             "final_observed": observed[-1],
             "final_bound": bounds[-1],
             "poly_c": params.poly_c,
@@ -570,7 +508,7 @@ def run_experiment(
         run_id=config.run_id,
         mode=config.mode,
         verdict="pass",
-        config=_plain(asdict(config)),
+        config=plain(asdict(config)),
     )
     certs: List[RateCertificate] = []
 
@@ -589,7 +527,7 @@ def run_experiment(
         report.condition.update(cond_reports)
         if summary:
             report.flow_summary = report.flow_summary or {}
-            report.flow_summary.update(_plain(summary))
+            report.flow_summary.update(plain(summary))
     if config.mode in ("flow", "all"):
         certs.extend(_run_flow_mode(config, entry, pf, x0, r, run_dir, report))
     if config.mode in ("prox", "all") and (config.mode == "prox" or config.tau is not None):
@@ -597,7 +535,7 @@ def run_experiment(
     if config.mode == "recursion" or (config.mode == "all" and config.recursion):
         certs.extend(_run_recursion_mode(config, run_dir, report))
 
-    report.certificates = [_cert_to_dict(c) for c in certs]
+    report.certificates = [certificate_to_dict(c) for c in certs]
     live = [c for c in certs if not c.skipped and c.ts.size]
     if live:
         report.files.extend(emit_plot_data(live, run_dir))
@@ -622,22 +560,7 @@ def run_experiment(
         report.notes.append("failed certificates: " + ", ".join(failed_certs))
 
     report.wall_clock_s = time.perf_counter() - t_begin
-    payload = _plain(
-        {
-            "run_id": report.run_id,
-            "mode": report.mode,
-            "verdict": report.verdict,
-            "config": report.config,
-            "condition": report.condition,
-            "certificates": report.certificates,
-            "flow_summary": report.flow_summary,
-            "prox_summary": report.prox_summary,
-            "recursion_summary": report.recursion_summary,
-            "files": sorted(report.files),
-            "notes": report.notes,
-            "wall_clock_s": report.wall_clock_s,
-        }
-    )
+    payload = plain({**asdict(report), "files": sorted(report.files)})
     report_path = run_dir / "report.json"
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     report.files.append(str(report_path))
@@ -684,7 +607,7 @@ def run_suite(manifest_path, output_root=None) -> SuiteReport:
     )
     root = resolve_output_root(output_root, None)
     root.mkdir(parents=True, exist_ok=True)
-    payload = _plain(
+    payload = plain(
         {
             "verdict": suite.verdict,
             "failing": suite.failing,

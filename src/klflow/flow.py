@@ -13,8 +13,7 @@ certificates stated for them are the confinement/limit/telescoped bounds.
 
 Certificates compare sampled trajectory data against the closed-form decay
 bounds induced by a parameter function theta and its derived maps eta and
-Gamma; each certificate reports the minimum margin (bound - observed) and a
-verdict at a stated tolerance.
+Gamma; ``klflow.certificates`` builds them from the sampled series.
 """
 from __future__ import annotations
 
@@ -24,13 +23,16 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .certificates import (
+    DEFAULT_CERT_TOL, RateCertificate, certificate, min_margin, skipped_certificate
+)
 from .conditions import ConditionReport
-from .core import INF, EuclideanBackend, Functional, as_point, check_policy
+from .core import (
+    FLOW_POLICIES, INF, EuclideanBackend, Functional, as_point, check_policy,
+    pick_branch, write_csv,
+)
 from .sampling import unit_directions
 from .theta import AuxiliaryFunctions, ParameterFunction
-
-DEFAULT_CERT_TOL = 1e-7
-FLOW_POLICIES = ("positive-branch", "negative-branch", "lexicographic")
 
 
 @dataclass
@@ -47,9 +49,7 @@ class FlowControls:
     event_dt_floor: float = 1e-9
     kink_kick: float = 1e-9  # displacement used to leave a descent kink
     probe_delta: float = 1e-7
-    # lexicographic behaves exactly like negative-branch: both take the
-    # canonical smallest of the tied descent directions
-    policy: str = "positive-branch"
+    policy: str = "positive-branch"  # see core.pick_branch
     max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
@@ -103,20 +103,6 @@ class EdeReport:
     n_interior: int
 
 
-@dataclass
-class RateCertificate:
-    kind: str
-    ts: np.ndarray
-    predicted: np.ndarray
-    observed: np.ndarray
-    margin: float
-    verdict: bool
-    t_star: float
-    tol: float
-    skipped: bool = False
-    details: dict = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # integration
 
@@ -152,11 +138,7 @@ def _probe_direction(
         rates.append((rate, tuple(d)))
     best = max(r for r, _ in rates)
     tied = [d for r, d in rates if r >= best - 1e-9 * (1.0 + abs(best))]
-    if c.policy == "positive-branch":
-        pick = max(tied)
-    else:  # negative-branch and lexicographic both take the canonical smallest
-        pick = min(tied)
-    return best, np.array(pick)
+    return best, np.array(pick_branch(tied, c.policy))
 
 
 def _step_checks(
@@ -436,50 +418,6 @@ def verify_ede(traj: Trajectory, f: Optional[Functional] = None) -> EdeReport:
 # certificates
 
 
-def _margin(pred: np.ndarray, obs: np.ndarray) -> float:
-    diff = pred - obs
-    diff = diff[~np.isnan(diff)]
-    return float(diff.min()) if diff.size else INF
-
-
-def _certificate(
-    kind: str,
-    ts: np.ndarray,
-    predicted: np.ndarray,
-    observed: np.ndarray,
-    t_star: float,
-    tol: float,
-    details: Optional[dict] = None,
-) -> RateCertificate:
-    margin = _margin(predicted, observed)
-    return RateCertificate(
-        kind=kind,
-        ts=ts,
-        predicted=predicted,
-        observed=observed,
-        margin=margin,
-        verdict=bool(margin >= -tol),
-        t_star=t_star,
-        tol=tol,
-        details=details or {},
-    )
-
-
-def _skipped(kind: str, t_star: float, tol: float, reason: str) -> RateCertificate:
-    return RateCertificate(
-        kind=kind,
-        ts=np.zeros(0),
-        predicted=np.zeros(0),
-        observed=np.zeros(0),
-        margin=INF,
-        verdict=True,
-        t_star=t_star,
-        tol=tol,
-        skipped=True,
-        details={"reason": reason},
-    )
-
-
 def certify_rates_continuous(
     traj: Trajectory,
     pf: ParameterFunction,
@@ -514,7 +452,7 @@ def certify_rates_continuous(
             bound = theta_f[i] - theta_f[j]
             obs = backend.distance(xs[i], xs[j])
             pair_margin = min(pair_margin, bound - obs)
-    cert_pairs = _certificate(
+    cert_pairs = certificate(
         "theta-distance",
         ts[idx],
         theta_f[0] - theta_f[idx],
@@ -522,16 +460,17 @@ def certify_rates_continuous(
         t_star,
         tol,
         {"pairs": int(len(idx) * (len(idx) - 1) / 2), "condition_certified": certified},
+        margin=pair_margin,
     )
-    cert_pairs.margin = float(pair_margin)
-    cert_pairs.verdict = bool(pair_margin >= -tol)
     certs.append(cert_pairs)
 
     pre_mask = ts <= t_star + 1e-14
 
     # Gamma bound on distance to the limit
     if traj.limit_point is None:
-        certs.append(_skipped("gamma-distance", t_star, tol, "missing limit point"))
+        certs.append(
+            skipped_certificate("gamma-distance", t_star, tol, "missing limit point")
+        )
     else:
         try:
             gamma_r = aux.gamma(r)
@@ -539,7 +478,9 @@ def certify_rates_continuous(
             gamma_r = None
         if gamma_r is None or not np.isfinite(gamma_r):
             certs.append(
-                _skipped("gamma-distance", t_star, tol, "r outside the range of theta")
+                skipped_certificate(
+                    "gamma-distance", t_star, tol, "r outside the range of theta"
+                )
             )
         else:
             dlim = np.array(
@@ -548,7 +489,7 @@ def certify_rates_continuous(
             obs = np.array([aux.gamma(min(d, r)) for d in dlim])
             pred = gamma_r - ts[pre_mask]
             certs.append(
-                _certificate(
+                certificate(
                     "gamma-distance", ts[pre_mask], pred, obs, t_star, tol,
                     {"gamma_r": gamma_r, "condition_certified": certified},
                 )
@@ -559,7 +500,7 @@ def certify_rates_continuous(
     obs_eta = np.array([aux.eta(max(v, 0.0)) for v in fsv[pre_mask]])
     pred_eta = eta_f0 - ts[pre_mask]
     certs.append(
-        _certificate(
+        certificate(
             "eta-energy", ts[pre_mask], pred_eta, obs_eta, t_star, tol,
             {"eta_f0": eta_f0, "condition_certified": certified},
         )
@@ -570,11 +511,11 @@ def certify_rates_continuous(
     inside_ok = bool(np.all(d_anchor <= r + 1e-9 * max(1.0, r)))
     live = fsv > traj.f_tol
     strict_margin = float((r - d_anchor[live]).min()) if live.any() else INF
-    cert_conf = _certificate(
+    cert_conf = certificate(
         "confinement", ts, np.full(ts.size, r), d_anchor, t_star, tol,
         {"strict_margin": strict_margin, "condition_certified": certified},
+        verdict=inside_ok and strict_margin > 0.0,
     )
-    cert_conf.verdict = bool(inside_ok and strict_margin > 0.0)
     certs.append(cert_conf)
 
     # explicit exponential forms for the gamma = 1/2 power member
@@ -582,7 +523,7 @@ def certify_rates_continuous(
         c2 = pf.c * pf.c
         pred_f = fsv[0] * np.exp(-ts[pre_mask] / c2)
         certs.append(
-            _certificate(
+            certificate(
                 "exponential", ts[pre_mask], pred_f, fsv[pre_mask], t_star, tol,
                 {"rate": 1.0 / c2, "condition_certified": certified},
             )
@@ -593,7 +534,7 @@ def certify_rates_continuous(
             )
             pred_d = r * np.exp(-ts / (2.0 * c2))
             certs.append(
-                _certificate(
+                certificate(
                     "exponential-distance", ts, pred_d, dlim_all, t_star, tol,
                     {"rate": 0.5 / c2, "condition_certified": certified},
                 )
@@ -604,7 +545,7 @@ def certify_rates_continuous(
         eta_needed = eta_f0 - aux.eta(traj.f_tol)
         if np.isfinite(eta_needed) and eta_needed <= traj.t_end:
             f_final = float(fsv[-1])
-            cert_ext = _certificate(
+            cert_ext = certificate(
                 "extinction",
                 np.array([ts[-1]]),
                 np.array([2.0 * traj.f_tol]),
@@ -616,7 +557,7 @@ def certify_rates_continuous(
             certs.append(cert_ext)
         else:
             certs.append(
-                _skipped(
+                skipped_certificate(
                     "extinction", t_star, tol,
                     "eta rate does not force extinction within the budget",
                 )
@@ -657,7 +598,7 @@ def certify_power_family(
             pred_f = base ** (1.0 / p) if p > 0 else np.where(
                 base > 0, base ** (1.0 / p), INF
             )
-    margin_f = _margin(pred_f, fsv[mask])
+    margin_f = min_margin(pred_f, fsv[mask])
     details: dict = {"f_bound_margin": margin_f}
     margins = [margin_f]
 
@@ -676,7 +617,7 @@ def certify_power_family(
                 pred_d = (c / gamma) * np.where(
                     base_d > 0, base_d ** (gamma / p), 0.0 if p > 0 else INF
                 )
-        margin_d = _margin(pred_d, dlim)
+        margin_d = min_margin(pred_d, dlim)
         details["distance_bound_margin"] = margin_d
         details["distance_predicted"] = pred_d
         details["distance_observed"] = dlim
@@ -695,17 +636,8 @@ def certify_power_family(
             margins.append(-INF)
             details["t_star_observed"] = None
 
-    margin = min(margins)
-    return RateCertificate(
-        kind="power-family",
-        ts=tm,
-        predicted=pred_f,
-        observed=fsv[mask],
-        margin=float(margin),
-        verdict=bool(margin >= -tol),
-        t_star=t_star,
-        tol=tol,
-        details=details,
+    return certificate(
+        "power-family", tm, pred_f, fsv[mask], t_star, tol, details, margin=min(margins)
     )
 
 
@@ -742,17 +674,14 @@ def improved_sqrt_distance_bound(
         math.sqrt(max(f_s, 0.0)) - math.sqrt(max(f_t, 0.0))
     )
     bound_coarse = 4.0 * c2 * es * (es - et) * f0
-    margin = min(bound_fine - obs, bound_coarse - obs)
-    return RateCertificate(
-        kind="improved-sqrt",
-        ts=np.array([s, t_eff]),
-        predicted=np.array([bound_fine, bound_coarse]),
-        observed=np.array([obs, obs]),
-        margin=float(margin),
-        verdict=bool(margin >= -tol),
-        t_star=t_star,
-        tol=tol,
-        details={
+    return certificate(
+        "improved-sqrt",
+        np.array([s, t_eff]),
+        np.array([bound_fine, bound_coarse]),
+        np.array([obs, obs]),
+        t_star,
+        tol,
+        {
             "clamped_to_t_star": clamped,
             "fine_bound": bound_fine,
             "coarse_bound": bound_coarse,
@@ -839,23 +768,17 @@ def glue_trajectories(
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write samples as ``t,x_1..x_n,f,slope,speed,segment`` at full precision."""
-    dim = traj.xs.shape[1]
-    header = ",".join(
-        ["t"] + [f"x_{i + 1}" for i in range(dim)] + ["f", "slope", "speed", "segment"]
+    write_csv(
+        path,
+        {
+            "t": traj.ts,
+            **{f"x_{i + 1}": col for i, col in enumerate(traj.xs.T)},
+            "f": traj.fs,
+            "slope": traj.slopes,
+            "speed": traj.speeds,
+            "segment": traj.segments.astype(int),
+        },
     )
-    lines = [header]
-    for i in range(traj.ts.size):
-        cells = [repr(float(traj.ts[i]))]
-        cells += [repr(float(v)) for v in traj.xs[i]]
-        cells += [
-            repr(float(traj.fs[i])),
-            repr(float(traj.slopes[i])),
-            repr(float(traj.speeds[i])),
-            str(int(traj.segments[i])),
-        ]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def trajectory_from_csv(path) -> Trajectory:

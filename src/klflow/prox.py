@@ -15,30 +15,24 @@ u_{k+1} + alpha u_{k+1}^delta <= u_k behind those bounds.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from .core import (
-    INF,
-    EuclideanBackend,
-    Functional,
-    as_point,
-    check_policy,
-    dense_scan,
+from .certificates import (
+    DEFAULT_CERT_TOL, RateCertificate, certificate, skipped_certificate
 )
-from .flow import DEFAULT_CERT_TOL, RateCertificate, _certificate, _skipped
+from .core import (
+    INF, PROX_POLICIES, Functional, as_point, check_policy, dense_scan, pick_branch,
+    write_csv,
+)
 from .sampling import ball_sample
 from .slope import descending_slope
 from .theta import AuxiliaryFunctions, ParameterFunction
-
-
-PROX_POLICIES = (
-    "smallest-distance", "positive-branch", "negative-branch", "lexicographic"
-)
 
 
 @dataclass
@@ -47,7 +41,7 @@ class ProxControls:
     newton_iters: int = 3
     objective_tie_tol: float = 1e-10
     point_tie_tol: float = 1e-9
-    policy: str = "smallest-distance"
+    policy: str = "smallest-distance"  # see core.pick_branch
     stop_f_tol: float = 1e-14
     stall_tol: float = 1e-14
     max_steps: int = 10_000
@@ -67,7 +61,7 @@ class ResolventResult:
     objective: float
     f_values: List[float]
     certified: bool  # True when found by exhaustive 1-d scan
-    n_evals: int
+    n_evals: int  # points at which the value oracle was evaluated
 
 
 @dataclass
@@ -127,33 +121,49 @@ def _phi_batch(f: Functional, xval: float, tau: float):
     return phi
 
 
-def _golden_polish(phi, z: float, lo: float, hi: float) -> float:
-    """Shrink a bracket around z to machine width by golden section.
+def _counted(f: Functional) -> Tuple[Functional, List[int]]:
+    """``f`` with every point its value oracle sees counted in a one-item list."""
+    count = [0]
 
-    Bracketed solvers stop at a relative width near sqrt(eps), which leaves
-    minimisers sitting at kinks (where no stationary point exists for Newton
-    to finish the job) about 1e-13 off.  Another seventy golden steps cost
-    little and pin such points to full precision.
+    def value(z):
+        count[0] += 1
+        return f.value(z)
+
+    def batch_value(zs):
+        count[0] += len(zs)
+        return f.values(zs)
+
+    return dataclasses.replace(f, value=value, batch_value=batch_value), count
+
+
+def _golden_section(
+    fun, lo: float, hi: float, tol: float, max_steps: float = math.inf
+) -> Tuple[float, float, float]:
+    """Golden-section search for a minimum of a unimodal ``fun`` on [lo, hi].
+
+    Shrinks the bracket until it is at most ``tol`` wide or ``max_steps``
+    steps were taken.  Returns the better of the two interior points and the
+    final bracket.  A maximum is found by minimising ``-fun``: negation is
+    exact, so the bracket sequence is that of a search on ``fun`` with both
+    comparisons flipped.
     """
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c1 = b - ratio * (b - a)
     c2 = a + ratio * (b - a)
-    f1, f2 = phi(np.array([c1])), phi(np.array([c2]))
-    tol = 1e-16 * max(1.0, abs(z))
-    iters = 0
-    while b - a > tol and iters < 130:
-        iters += 1
+    f1, f2 = fun(c1), fun(c2)
+    steps = 0
+    while b - a > tol and steps < max_steps:
+        steps += 1
         if f1 > f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + ratio * (b - a)
-            f2 = phi(np.array([c2]))
+            f2 = fun(c2)
         else:
             b, c2, f2 = c2, c1, f1
             c1 = b - ratio * (b - a)
-            f1 = phi(np.array([c1]))
-    zm = c1 if f1 <= f2 else c2
-    return zm if phi(np.array([zm])) <= phi(np.array([z])) else z
+            f1 = fun(c1)
+    return (c1 if f1 <= f2 else c2), a, b
 
 
 def _newton_polish(
@@ -207,21 +217,25 @@ def resolvent(
     x = as_point(x)
     if tau <= 0:
         raise ValueError("tau must be positive")
+    f, n_evals = _counted(f)
     fx = f.value(x)
     if not np.isfinite(fx) or fx < 0:
         raise ValueError("resolvent needs a finite nonnegative f(x)")
     phi = _phi(f, x, tau)
     if fx == 0.0:
-        return ResolventResult([x.copy()], 0.0, [0.0], True, 1)
+        return ResolventResult([x.copy()], 0.0, [0.0], True, n_evals[0])
     radius = math.sqrt(2.0 * tau * fx) * (1.0 + c.box_slack)
 
     if x.size == 1:
         xval = float(x[0])
+
+        def phi1(z: float) -> float:
+            return phi(np.array([z]))
+
         scan = dense_scan(
             _phi_batch(f, xval, tau), xval - radius, xval + radius, c.n_grid
         )
         grid, vals = scan.grid, scan.values
-        n_evals = c.n_grid
         best_grid = vals.min()
         cand = [
             i for i in scan.basins if vals[i] <= best_grid + 1e-6 * (1.0 + abs(best_grid))
@@ -234,19 +248,20 @@ def resolvent(
                 refined.append((vals[i], grid[i]))
                 continue
             res = minimize_scalar(
-                lambda z: phi(np.array([z])),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-13},
+                phi1, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
             )
-            n_evals += res.nfev
             z, stationary = _newton_polish(
                 f, x, tau, float(res.x), lo, hi, c.newton_iters
             )
             if not stationary:
-                z = _golden_polish(phi, z, lo, hi)
-                n_evals += 140
-            refined.append((phi(np.array([z])), z))
+                # bracketed solvers stop at a relative width near sqrt(eps),
+                # which leaves minimisers at kinks (where Newton has no
+                # stationary point to find) about 1e-13 off; up to 130 more
+                # golden steps cost little and pin them to full precision
+                zm, _, _ = _golden_section(phi1, lo, hi, 1e-16 * max(1.0, abs(z)), 130)
+                if phi1(zm) <= phi1(z):
+                    z = zm
+            refined.append((phi1(z), z))
         refined.sort()
         best = refined[0][0]
         keep: List[float] = []
@@ -258,19 +273,17 @@ def resolvent(
         keep.sort()
         points = [np.array([z]) for z in keep]
         return ResolventResult(
-            points, float(best), [f.value(p) for p in points], True, n_evals
+            points, float(best), [f.value(p) for p in points], True, n_evals[0]
         )
 
     # dimension > 1: multistart local minimisation inside the box
     starts = [x.copy()] + list(ball_sample(x, radius, c.n_starts))
     found: List[Tuple[float, np.ndarray]] = []
-    n_evals = 0
     for s in starts:
         if f.smooth_gradient is not None and f.gradient(s) is not None:
             res = minimize(phi, s, method="L-BFGS-B")
         else:
             res = minimize(phi, s, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})
-        n_evals += res.nfev
         found.append((float(res.fun), np.asarray(res.x, dtype=float)))
     found.sort(key=lambda p: p[0])
     best = found[0][0]
@@ -285,22 +298,8 @@ def resolvent(
             points.append(z)
     points.sort(key=lambda p: tuple(p))
     return ResolventResult(
-        points, best, [f.value(p) for p in points], False, n_evals
+        points, best, [f.value(p) for p in points], False, n_evals[0]
     )
-
-
-def _pick(points: List[np.ndarray], x: np.ndarray, policy: str) -> np.ndarray:
-    if len(points) == 1:
-        return points[0]
-    if policy == "smallest-distance":
-        keyed = sorted(
-            points, key=lambda z: (float(np.linalg.norm(z - x)), tuple(z))
-        )
-        return keyed[0]
-    if policy == "positive-branch":
-        return max(points, key=lambda z: tuple(z))
-    # negative-branch and lexicographic both take the canonical smallest
-    return min(points, key=lambda z: tuple(z))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +338,7 @@ def run_prox_sequence(
     else:
         for k, t in enumerate(taus):
             res = resolvent(f, x, t, c)
-            z = _pick(res.points, x, c.policy)
+            z = pick_branch(res.points, c.policy, x)
             fz = f.value(z)
             d = float(np.linalg.norm(z - x))
             sl = descending_slope(f, z).value
@@ -468,7 +467,7 @@ def de_giorgi_residual(
         nonlocal n_evals
         res = resolvent(f, x, s, inner)
         n_evals += res.n_evals
-        return _pick(res.points, x, c.policy)
+        return pick_branch(res.points, c.policy, x)
 
     z_tau = z_at(tau)
     d_tau = float(np.linalg.norm(z_tau - x))
@@ -513,7 +512,7 @@ def one_step_decay_check(
     c = controls or ProxControls()
     x = as_point(x)
     res = resolvent(f, x, tau, c)
-    z = _pick(res.points, x, c.policy)
+    z = pick_branch(res.points, c.policy, x)
     fx, fz = f.value(x), f.value(z)
     if fz > 0:
         rhs = tau / pf.theta_deriv(fz) ** 2
@@ -596,25 +595,6 @@ def ioffe_distance_check(
 # the decay recursion u_{k+1} + alpha u_{k+1}^delta <= u_k
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-10) -> Tuple[float, float]:
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - ratio * (b - a)
-    c2 = a + ratio * (b - a)
-    f1, f2 = fun(c1), fun(c2)
-    while b - a > tol:
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + ratio * (b - a)
-            f2 = fun(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - ratio * (b - a)
-            f1 = fun(c1)
-    xm = 0.5 * (a + b)
-    return xm, fun(xm)
-
-
 @dataclass(frozen=True)
 class RecursiveBoundParams:
     alpha: float
@@ -650,8 +630,8 @@ def recursive_bound_params(
                 (r ** ((delta - 1.0) / delta) - 1.0) * f0 ** (1.0 - delta),
             )
 
-        _, c_val = _golden_max(branch, 1.0 + 1e-12, r_max)
-        return RecursiveBoundParams(alpha, delta, f0, poly_c=c_val)
+        _, a, b = _golden_section(lambda r: -branch(r), 1.0 + 1e-12, r_max, 1e-10)
+        return RecursiveBoundParams(alpha, delta, f0, poly_c=branch(0.5 * (a + b)))
     u_star = alpha ** (1.0 / (1.0 - delta))
     alpha_tilde = alpha * f0 ** (delta - 1.0)
     if f0 <= 0.5 * u_star:
@@ -744,7 +724,7 @@ def certify_rates_discrete(
     iu, ju = np.triu_indices(n, k=1)
     pair_margin = float((theta_f[iu] - theta_f[ju] - dmat[iu, ju]).min()) if iu.size else INF
     certs: List[RateCertificate] = []
-    cert = _certificate(
+    cert = certificate(
         "discrete-theta-distance",
         ks,
         theta_f[0] - theta_f,
@@ -752,13 +732,12 @@ def certify_rates_discrete(
         t_star,
         tol,
         {"pairs": int(iu.size)},
+        margin=pair_margin,
     )
-    cert.margin = pair_margin
-    cert.verdict = bool(pair_margin >= -tol)
     certs.append(cert)
 
     certs.append(
-        _certificate(
+        certificate(
             "discrete-theta-tail", ks[:-1], theta_f[:-1], dmat[:-1, n - 1], t_star, tol
         )
     )
@@ -767,7 +746,7 @@ def certify_rates_discrete(
         x0a = as_point(x0)
         d0 = np.array([float(np.linalg.norm(p - x0a)) for p in pts])
         certs.append(
-            _certificate(
+            certificate(
                 "discrete-confinement", ks, np.full(n, float(r)), d0, t_star, tol,
                 {"theta_budget": float(theta_f[0])},
             )
@@ -779,14 +758,14 @@ def certify_rates_discrete(
             if k + 1 < n:
                 factors[k + 1] = factors[k] / (1.0 + alpha * t)
         certs.append(
-            _certificate(
+            certificate(
                 "discrete-geometric", ks, fs[0] * factors, fs, t_star, tol,
                 {"alpha": float(alpha)},
             )
         )
         if r is not None:
             certs.append(
-                _certificate(
+                certificate(
                     "discrete-geometric-distance",
                     ks,
                     float(r) * np.sqrt(factors),
@@ -824,11 +803,11 @@ def certify_power_rates_discrete(
     t_star = float(seq.terminated_at) if seq.terminated_at is not None else float(n - 1)
     certs: List[RateCertificate] = []
     if seq.taus.size == 0:
-        return [_skipped("discrete-power", t_star, tol, "empty sequence")]
+        return [skipped_certificate("discrete-power", t_star, tol, "empty sequence")]
     tau = float(seq.taus[0])
     if not np.allclose(seq.taus, tau):
         return [
-            _skipped(
+            skipped_certificate(
                 "discrete-power", t_star, tol,
                 "regime bounds assume a constant step size",
             )
@@ -840,45 +819,40 @@ def certify_power_rates_discrete(
         pred_lin = np.maximum(fs[0] - ks * alpha_rec, 0.0)
         if r is None:
             certs.append(
-                _skipped("finite-termination", t_star, tol, "needs the anchor radius")
+                skipped_certificate(
+                    "finite-termination", t_star, tol, "needs the anchor radius"
+                )
             )
         else:
             k_bound = int(math.ceil(c * float(r) / tau - 1e-12))
-            if seq.terminated_at is not None:
-                margin = float(k_bound - seq.terminated_at)
-                obs = float(seq.terminated_at)
-            elif n - 1 >= k_bound:
-                margin = -INF  # ran past the bound without terminating
-                obs = INF
-            else:
+            if seq.terminated_at is None and n - 1 < k_bound:
                 certs.append(
-                    _skipped(
+                    skipped_certificate(
                         "finite-termination", t_star, tol,
                         "sequence stopped before the termination bound",
                     )
                 )
-                obs = None
-                margin = None
-            if margin is not None:
-                cert = _certificate(
-                    "finite-termination",
-                    np.array([0.0]),
-                    np.array([float(k_bound)]),
-                    np.array([obs]),
-                    t_star,
-                    tol,
-                    {"k_bound": k_bound, "linear_margin": float((pred_lin - fs).min())},
+            else:
+                # a run past the bound that never terminated observes k = inf
+                obs = INF if seq.terminated_at is None else float(seq.terminated_at)
+                certs.append(
+                    certificate(
+                        "finite-termination",
+                        np.array([0.0]),
+                        np.array([float(k_bound)]),
+                        np.array([obs]),
+                        t_star,
+                        tol,
+                        {"k_bound": k_bound, "linear_margin": float((pred_lin - fs).min())},
+                    )
                 )
-                cert.margin = margin
-                cert.verdict = bool(margin >= -tol)
-                certs.append(cert)
         bounds = pred_lin
     else:
         params = recursive_bound_params(alpha_rec, 2.0 - 2.0 * gamma, float(fs[0]))
         bounds = np.array([recursive_bound(params, int(k)) for k in range(n)])
         if gamma == 0.5:
             certs.append(
-                _certificate(
+                certificate(
                     "discrete-geometric", ks, bounds, fs, t_star, tol,
                     {"rate": 1.0 + alpha_rec},
                 )
@@ -888,7 +862,7 @@ def certify_power_rates_discrete(
                 [params.f0 * (1.0 + params.alpha_tilde) ** (-k) for k in range(n)]
             )
             certs.append(
-                _certificate(
+                certificate(
                     "discrete-geometric", ks, geo, fs, t_star, tol,
                     {"rate": 1.0 + params.alpha_tilde},
                 )
@@ -896,7 +870,7 @@ def certify_power_rates_discrete(
             if n - 1 >= params.k0:
                 kk = np.arange(params.k0, n)
                 certs.append(
-                    _certificate(
+                    certificate(
                         "discrete-doubly-exponential",
                         kk.astype(float),
                         np.array([recursive_bound(params, int(k)) for k in kk]),
@@ -908,21 +882,21 @@ def certify_power_rates_discrete(
                 )
             else:
                 certs.append(
-                    _skipped(
+                    skipped_certificate(
                         "discrete-doubly-exponential", t_star, tol,
                         f"sequence ends before the entry index k0={params.k0}",
                     )
                 )
         else:
             certs.append(
-                _certificate(
+                certificate(
                     "discrete-polynomial", ks, bounds, fs, t_star, tol,
                     {"poly_c": params.poly_c, "exponent": 1.0 / (params.delta - 1.0)},
                 )
             )
     theta_bounds = np.array([(c / gamma) * b**gamma for b in bounds])
     certs.append(
-        _certificate(
+        certificate(
             "discrete-distance-power", ks, theta_bounds, dlast, t_star, tol,
             {"limit_proxy": "last iterate"},
         )
@@ -946,22 +920,14 @@ def limit_diagnostics(seq: ProxSequence) -> dict:
 
 def sequence_to_csv(seq: ProxSequence, path) -> None:
     """Write iterates as ``k,x_1..x_n,f,dist_step,slope,de_giorgi_residual``."""
-    dim = seq.points.shape[1]
-    header = ",".join(
-        ["k"]
-        + [f"x_{i + 1}" for i in range(dim)]
-        + ["f", "dist_step", "slope", "de_giorgi_residual"]
+    write_csv(
+        path,
+        {
+            "k": range(seq.n_iterates),
+            **{f"x_{i + 1}": col for i, col in enumerate(seq.points.T)},
+            "f": seq.fs,
+            "dist_step": seq.dists,
+            "slope": seq.slopes,
+            "de_giorgi_residual": seq.dg_residuals,
+        },
     )
-    lines = [header]
-    for k in range(seq.n_iterates):
-        cells = [str(k)]
-        cells += [repr(float(v)) for v in seq.points[k]]
-        cells += [
-            repr(float(seq.fs[k])),
-            repr(float(seq.dists[k])),
-            repr(float(seq.slopes[k])),
-            repr(float(seq.dg_residuals[k])),
-        ]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -53,6 +53,9 @@ def test_from_dict_aliases_and_coercions():
 def test_from_dict_rejects_bad_input():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict(dict(FLOW_CFG, typo_key=1))
+    # seed was never read, so a config that sets it is rejected, not ignored
+    with pytest.raises(ValueError, match=r"unknown config keys: \['seed'\]"):
+        ExperimentConfig.from_dict(dict(FLOW_CFG, seed=0))
     with pytest.raises(ValueError, match="missing required key"):
         ExperimentConfig.from_dict({"mode": "flow", "functional": "quadratic"})
     with pytest.raises(ValueError, match="mode must be one of"):
@@ -123,10 +126,13 @@ def test_flow_run_artifacts(tmp_path):
     assert head in ("t,observed,bound,margin", "k,observed,bound,margin")
 
 
-def test_flow_rerun_is_bit_identical(tmp_path):
-    cfg = ExperimentConfig.from_dict(FLOW_CFG)
+@pytest.mark.parametrize(
+    "raw", [FLOW_CFG, PROX_CFG, RECURSION_CFG], ids=["flow", "prox", "recursion"]
+)
+def test_rerun_is_bit_identical(tmp_path, raw):
+    cfg = ExperimentConfig.from_dict(raw)
     run_experiment(cfg, output_root=tmp_path)
-    run_dir = tmp_path / "q-flow"
+    run_dir = tmp_path / raw["id"]
     csv_names = [p.name for p in run_dir.glob("*.csv")]
     first = {n: (run_dir / n).read_bytes() for n in csv_names}
     rep1 = json.loads((run_dir / "report.json").read_text())
@@ -259,6 +265,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     unknown.write_text(yaml.safe_dump(dict(FLOW_CFG, typo=1)))
     assert cli_main(["run", str(unknown)]) == 2
     capsys.readouterr()
+    seeded = tmp_path / "seeded.yaml"
+    seeded.write_text(yaml.safe_dump(dict(FLOW_CFG, seed=0)))
+    assert cli_main(["run", str(seeded), "--output", str(tmp_path / "o3")]) == 2
+    assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
 
 def test_unknown_policy_fails_at_load_and_cli_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from klflow import resolve_entry
+from klflow.core import pick_branch
 from klflow.prox import (
     ProxControls,
     certify_power_rates_discrete,
@@ -353,6 +354,33 @@ def test_ioffe_check_same_without_batch_oracle(entry_id, x, delta, v):
     assert got == ref
 
 
+@pytest.mark.parametrize(
+    "entry_id, x, expected",
+    [
+        ("quadratic?lambda=1", [1.0], 1043),  # 1025 grid points, 18 single calls
+        ("double-well", [0.0], 1060),  # two tied minimisers
+        ("quadratic?center=0,0", [1.0, 0.5], None),  # multistart branch
+    ],
+)
+def test_resolvent_counts_every_oracle_point(entry_id, x, expected):
+    f = resolve_entry(entry_id).functional
+    seen = [0]
+
+    def value(z):
+        seen[0] += 1
+        return f.value(z)
+
+    def batch_value(zs):
+        seen[0] += len(zs)
+        return f.batch_value(zs)
+
+    counted = dataclasses.replace(f, value=value, batch_value=batch_value)
+    res = resolvent(counted, np.array(x), 0.5)
+    assert res.n_evals == seen[0]
+    if expected is not None:
+        assert res.n_evals == expected
+
+
 def test_prox_steps_carry_resolvent_facts():
     e1 = resolve_entry("double-well?lambda=1&a=1")
     seq = run_prox_sequence(e1.functional, np.array([0.0]), 0.5, n_steps=3)
@@ -371,3 +399,21 @@ def test_unknown_policy_is_rejected():
     with pytest.raises(ValueError, match="smallest-distance, positive-branch"):
         ProxControls(policy="postive-branch")
     ProxControls(policy="lexicographic")
+
+
+@pytest.mark.parametrize(
+    "policy, expected",
+    [
+        ("positive-branch", (1.5, 0.5)),  # largest coordinates
+        ("negative-branch", (-3.0, 0.0)),  # smallest coordinates
+        ("lexicographic", (-3.0, 0.0)),  # alias of negative-branch
+        ("smallest-distance", (0.5, 1.5)),  # distance tie, smaller coordinates
+    ],
+)
+def test_pick_branch_table(policy, expected):
+    x = np.array([0.5, 0.5])
+    cands = [np.array(c) for c in ((1.5, 0.5), (0.5, 1.5), (-3.0, 0.0))]
+    for order in (cands, cands[::-1]):
+        assert tuple(pick_branch(order, policy, x)) == expected
+    with pytest.raises(ValueError, match="unknown policy 'nearest'"):
+        pick_branch(cands, "nearest", x)
