@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .core import INF, Functional
+from .core import INF, Functional, row_norms
 from .sampling import SAMPLER_SEED, ball_sample
 from .slope import descending_slope
 from .theta import ParameterFunction, make_power_theta
@@ -51,11 +51,19 @@ class ConditionReport:
     details: dict = field(default_factory=dict)
 
 
-def _ratio(f: Functional, y: np.ndarray, fy: float) -> float:
-    s = descending_slope(f, y).value
-    if s == INF:
-        return INF
-    return s * s / fy
+#: sampling details of a report whose verdict needed no scan
+_NOT_SAMPLED = {"sample_count": 0, "seed": None, "slope_method": None}
+
+
+def _anchor(f: Functional, x0, r: float) -> Tuple[np.ndarray, float]:
+    """x0 as a float array and f(x0), after checking r > 0 and f(x0) finite."""
+    x0 = np.asarray(x0, dtype=float)
+    if not (r > 0.0):
+        raise ValueError("radius must be positive")
+    f_x0 = f.value(x0)
+    if not np.isfinite(f_x0):
+        raise ValueError("f(x0) must be finite")
+    return x0, f_x0
 
 
 def _admissible(f: Functional, x0: np.ndarray, r: float, f_x0: float, y: np.ndarray):
@@ -100,24 +108,39 @@ def _scan(
 
     Collects the infimum of the ratio |df|^2/f (alpha) and, when a parameter
     function is supplied, of the product theta'(f) * |df|; both are refined
-    by local descent around the three smallest sampled values.
+    by local descent around the three smallest sampled values.  The alpha
+    part does not depend on ``pf``.  ``alpha_sampling`` and ``sampling``
+    say how the alpha part and the whole scan were computed.
     """
     pts = ball_sample(x0, r, sample_count, seed)
+    pts = pts[row_norms(pts - x0) < r]
+    fys = f.values(pts)
+    keep = (0.0 < fys) & (fys <= f_x0)
+    methods: set = set()
+
+    def slope(y, fy):
+        est = descending_slope(f, y, fx=fy)
+        methods.add(est.method)
+        return est.value
+
     ratios: list = []
     products: list = []
-    n_admissible = 0
-    for y in pts:
-        fy = _admissible(f, x0, r, f_x0, y)
-        if fy is None:
-            continue
-        n_admissible += 1
-        s = descending_slope(f, y).value
+    # Python floats: theta' rounds ``**`` differently on numpy floats
+    for y, fy in zip(pts[keep], fys[keep].tolist()):
+        s = slope(y, fy)
         ratios.append((INF if s == INF else s * s / fy, y))
         if pf is not None:
             products.append((INF if s == INF else pf.theta_deriv(fy) * s, y))
 
-    out = {"n_admissible": n_admissible}
+    out = {"n_admissible": len(ratios)}
     h = 4.0 * r * (sample_count ** (-1.0 / x0.size))
+
+    def sampling() -> dict:
+        return {
+            "sample_count": sample_count,
+            "seed": seed,
+            "slope_method": "+".join(sorted(methods)) or None,
+        }
 
     def refined_min(entries, key_fn):
         entries.sort(key=lambda e: e[0])
@@ -137,28 +160,110 @@ def _scan(
                 best_val, best_pt = v_ref, y_ref
         return best_val, best_pt
 
+    def ratio(y, fy):
+        s = slope(y, fy)
+        return INF if s == INF else s * s / fy
+
     if ratios:
-        alpha, alpha_witness = refined_min(
-            ratios, lambda y, fy: _ratio(f, y, fy)
-        )
+        alpha, alpha_witness = refined_min(ratios, ratio)
         out["alpha"] = max(float(alpha), 0.0)
         out["alpha_witness"] = alpha_witness
     else:
         out["alpha"] = INF
         out["alpha_witness"] = None
+    out["alpha_sampling"] = sampling()
 
     if pf is not None:
         if products:
             prod, prod_witness = refined_min(
-                products,
-                lambda y, fy: pf.theta_deriv(fy) * descending_slope(f, y).value,
+                products, lambda y, fy: pf.theta_deriv(fy) * slope(y, fy)
             )
             out["min_product"] = float(prod)
             out["product_witness"] = prod_witness
         else:
             out["min_product"] = INF
             out["product_witness"] = None
+    out["sampling"] = sampling()
     return out
+
+
+def _equilibrium_report(name: str, x0, r: float, f_x0: float) -> ConditionReport:
+    """f(x0) = 0: the condition holds trivially, with nothing scanned."""
+    c_variant = name.startswith("C")
+    return ConditionReport(
+        condition=name,
+        holds=True,
+        alpha_estimate=INF,
+        worst_witness=None,
+        r=r,
+        x0=x0,
+        theta_budget=math.nan if c_variant else r,
+        equilibrium=True,
+        details={
+            **({"threshold": 0.0} if c_variant else {}),
+            "f_x0": f_x0,
+            **_NOT_SAMPLED,
+        },
+    )
+
+
+def _report_C(x0, r, f_x0, strict, scan, alpha_override) -> ConditionReport:
+    """The C or C_prime verdict from a scan, or from ``alpha_override``."""
+    if alpha_override is not None:
+        alpha, witness, n_adm = float(alpha_override), None, -1
+        sampling = _NOT_SAMPLED
+    else:
+        alpha, witness = scan["alpha"], scan["alpha_witness"]
+        n_adm, sampling = scan["n_admissible"], scan["alpha_sampling"]
+    threshold = 4.0 * f_x0 / (r * r)
+    guard = EQUALITY_GUARD * max(threshold, 1.0)
+    if strict:
+        holds = alpha > threshold + guard
+    else:
+        holds = alpha >= threshold - guard
+    return ConditionReport(
+        condition="C_prime" if strict else "C",
+        holds=bool(holds),
+        alpha_estimate=alpha,
+        worst_witness=None if witness is None else (witness, alpha - threshold),
+        r=r,
+        x0=x0,
+        theta_budget=math.nan,
+        details={
+            "threshold": threshold,
+            "f_x0": f_x0,
+            "n_admissible": n_adm,
+            "empty_admissible": n_adm == 0,
+            **sampling,
+        },
+    )
+
+
+def _report_A(x0, r, f_x0, budget, strict, scan) -> ConditionReport:
+    """The A or A_prime verdict from the budget r - theta(f(x0)) and a scan."""
+    guard = EQUALITY_GUARD * max(1.0, r)
+    budget_ok = budget > guard if strict else budget >= -guard
+    min_product = scan["min_product"]
+    slope_ok = min_product >= 1.0 - SLOPE_ACCEPT_TOL
+    witness = scan["product_witness"]
+    return ConditionReport(
+        condition="A_prime" if strict else "A",
+        holds=bool(budget_ok and slope_ok),
+        alpha_estimate=scan["alpha"],
+        worst_witness=None if witness is None else (witness, min_product - 1.0),
+        r=r,
+        x0=x0,
+        theta_budget=budget,
+        details={
+            "f_x0": f_x0,
+            "budget_ok": bool(budget_ok),
+            "slope_ok": bool(slope_ok),
+            "min_product": min_product,
+            "n_admissible": scan["n_admissible"],
+            "empty_admissible": scan["n_admissible"] == 0,
+            **scan["sampling"],
+        },
+    )
 
 
 def estimate_alpha(
@@ -183,6 +288,35 @@ def estimate_alpha(
     return scan["alpha"]
 
 
+def check_conditions(
+    f: Functional,
+    pf: ParameterFunction,
+    x0,
+    r: float,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    alpha_override: Optional[float] = None,
+    seed: int = SAMPLER_SEED,
+) -> Dict[str, ConditionReport]:
+    """Conditions A, A-strict, C and C-strict on B_r(x0) from one scan.
+
+    Returns the reports under the keys ``"A"``, ``"A-strict"``, ``"C"`` and
+    ``"C-strict"``; each equals what ``check_condition_A`` or
+    ``check_condition_C`` returns for the same arguments.
+    """
+    x0, f_x0 = _anchor(f, x0, r)
+    if f_x0 <= EQUILIBRIUM_F_TOL:
+        names = {"A": "A", "A-strict": "A_prime", "C": "C", "C-strict": "C_prime"}
+        return {k: _equilibrium_report(n, x0, r, f_x0) for k, n in names.items()}
+    budget = r - pf.theta(f_x0)
+    scan = _scan(f, x0, r, f_x0, pf, sample_count, seed)
+    return {
+        "A": _report_A(x0, r, f_x0, budget, False, scan),
+        "A-strict": _report_A(x0, r, f_x0, budget, True, scan),
+        "C": _report_C(x0, r, f_x0, False, scan, alpha_override),
+        "C-strict": _report_C(x0, r, f_x0, True, scan, alpha_override),
+    }
+
+
 def check_condition_C(
     f: Functional,
     x0,
@@ -197,55 +331,13 @@ def check_condition_C(
     ``alpha_override`` substitutes a known exact alpha for the sampled
     estimate.  f(x0) = 0 is reported as trivially holding (equilibrium).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not (r > 0.0):
-        raise ValueError("radius must be positive")
-    f_x0 = f.value(x0)
-    if not np.isfinite(f_x0):
-        raise ValueError("f(x0) must be finite")
-    name = "C_prime" if strict else "C"
+    x0, f_x0 = _anchor(f, x0, r)
     if f_x0 <= EQUILIBRIUM_F_TOL:
-        return ConditionReport(
-            condition=name,
-            holds=True,
-            alpha_estimate=INF,
-            worst_witness=None,
-            r=r,
-            x0=x0,
-            theta_budget=math.nan,
-            equilibrium=True,
-            details={"threshold": 0.0, "f_x0": f_x0},
-        )
-    if alpha_override is not None:
-        alpha = float(alpha_override)
-        witness = None
-        n_adm = -1
-    else:
+        return _equilibrium_report("C_prime" if strict else "C", x0, r, f_x0)
+    scan = None
+    if alpha_override is None:
         scan = _scan(f, x0, r, f_x0, None, sample_count, seed)
-        alpha = scan["alpha"]
-        witness = scan["alpha_witness"]
-        n_adm = scan["n_admissible"]
-    threshold = 4.0 * f_x0 / (r * r)
-    guard = EQUALITY_GUARD * max(threshold, 1.0)
-    if strict:
-        holds = alpha > threshold + guard
-    else:
-        holds = alpha >= threshold - guard
-    return ConditionReport(
-        condition=name,
-        holds=bool(holds),
-        alpha_estimate=alpha,
-        worst_witness=None if witness is None else (witness, alpha - threshold),
-        r=r,
-        x0=x0,
-        theta_budget=math.nan,
-        details={
-            "threshold": threshold,
-            "f_x0": f_x0,
-            "n_admissible": n_adm,
-            "empty_admissible": n_adm == 0,
-        },
-    )
+    return _report_C(x0, r, f_x0, strict, scan, alpha_override)
 
 
 def check_condition_A(
@@ -264,49 +356,8 @@ def check_condition_A(
     estimator bias; the worst witness (point, product - 1) is reported either
     way.  f(x0) = 0 is reported as trivially holding (equilibrium).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not (r > 0.0):
-        raise ValueError("radius must be positive")
-    f_x0 = f.value(x0)
-    if not np.isfinite(f_x0):
-        raise ValueError("f(x0) must be finite")
-    name = "A_prime" if strict else "A"
-    if f_x0 <= EQUILIBRIUM_F_TOL:
-        return ConditionReport(
-            condition=name,
-            holds=True,
-            alpha_estimate=INF,
-            worst_witness=None,
-            r=r,
-            x0=x0,
-            theta_budget=r,
-            equilibrium=True,
-            details={"f_x0": f_x0},
-        )
-    budget = r - pf.theta(f_x0)
-    guard = EQUALITY_GUARD * max(1.0, r)
-    budget_ok = budget > guard if strict else budget >= -guard
-    scan = _scan(f, x0, r, f_x0, pf, sample_count, seed)
-    min_product = scan["min_product"]
-    slope_ok = min_product >= 1.0 - SLOPE_ACCEPT_TOL
-    witness = scan["product_witness"]
-    return ConditionReport(
-        condition=name,
-        holds=bool(budget_ok and slope_ok),
-        alpha_estimate=scan["alpha"],
-        worst_witness=None if witness is None else (witness, min_product - 1.0),
-        r=r,
-        x0=x0,
-        theta_budget=budget,
-        details={
-            "f_x0": f_x0,
-            "budget_ok": bool(budget_ok),
-            "slope_ok": bool(slope_ok),
-            "min_product": min_product,
-            "n_admissible": scan["n_admissible"],
-            "empty_admissible": scan["n_admissible"] == 0,
-        },
-    )
+    reports = check_conditions(f, pf, x0, r, sample_count, seed=seed)
+    return reports["A-strict" if strict else "A"]
 
 
 def matched_half_power(alpha: float) -> ParameterFunction:

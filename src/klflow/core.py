@@ -100,6 +100,17 @@ def as_point(x) -> np.ndarray:
     return arr
 
 
+def row_norms(diff: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, rounded as the 1-d call rounds it.
+
+    That call is ``sqrt(dot(d, d))``; in several dimensions the BLAS dot
+    rounds differently from a vectorised sum of squares, so it is kept.
+    """
+    if diff.shape[1] == 1:
+        return np.sqrt(diff[:, 0] * diff[:, 0])
+    return np.sqrt([row.dot(row) for row in diff])
+
+
 @dataclass(frozen=True)
 class EuclideanBackend:
     """Reference metric backend: R^n with the Euclidean distance."""

@@ -16,7 +16,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import EuclideanBackend, Functional, as_point, dense_scan, pick_branch
+from .core import (
+    EuclideanBackend, Functional, as_point, dense_scan, pick_branch, row_norms
+)
 from .theta import ParameterFunction, make_power_theta
 
 
@@ -58,17 +60,6 @@ def _float_pow(base: np.ndarray, p: float) -> np.ndarray:
     included), and the batched oracles must match the scalar ones exactly.
     """
     return np.array([b**p for b in base.tolist()], dtype=float)
-
-
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row, rounded as the 1-d call rounds it.
-
-    That call is ``sqrt(dot(d, d))``; in several dimensions the BLAS dot
-    rounds differently from a vectorised sum of squares, so it is kept.
-    """
-    if diff.shape[1] == 1:
-        return np.sqrt(diff[:, 0] * diff[:, 0])
-    return np.sqrt([row.dot(row) for row in diff])
 
 
 def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
@@ -458,7 +449,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
         return scale * float(np.linalg.norm(x - c)) ** p
 
     def batch_value(xs):
-        return scale * _float_pow(_row_norms(xs - c), p)
+        return scale * _float_pow(row_norms(xs - c), p)
 
     def slope(x):
         d = float(np.linalg.norm(x - c))

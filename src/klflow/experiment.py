@@ -26,7 +26,10 @@ import yaml
 from .certificates import (
     DEFAULT_CERT_TOL, RateCertificate, certificate, certificate_to_dict, is_discrete
 )
-from .conditions import ConditionReport, check_condition_A, check_condition_C
+# check_condition_A/C stay bound here for tracers that patch this module
+from .conditions import (  # noqa: F401
+    ConditionReport, check_condition_A, check_condition_C, check_conditions
+)
 from .core import as_point, plain, write_csv
 from .corpus import CorpusEntry, brute_force_minimiser, resolve_entry
 from .flow import (
@@ -298,27 +301,26 @@ def _limit_optimality_certificate(
 
 
 def _run_condition_mode(
-    config: ExperimentConfig, entry: CorpusEntry, pf, x0: np.ndarray, r: float
+    config: ExperimentConfig,
+    entry: CorpusEntry,
+    pf,
+    x0: np.ndarray,
+    r: float,
+    reports: dict,
 ) -> Tuple[dict, dict]:
-    f = entry.functional
-    reports = {
-        "A": check_condition_A(f, pf, x0, r),
-        "A-strict": check_condition_A(f, pf, x0, r, strict=True),
-        "C": check_condition_C(f, x0, r, alpha_override=config.alpha),
-        "C-strict": check_condition_C(f, x0, r, alpha_override=config.alpha, strict=True),
-    }
     summary = {}
     if config.radii:
         table = []
         for rr in config.radii:
             rr = float(rr)
-            rep_c = check_condition_C(f, x0, rr, alpha_override=config.alpha)
-            rep_a = check_condition_A(f, pf, x0, rr)
+            at_rr = reports if rr == r else check_conditions(
+                entry.functional, pf, x0, rr, alpha_override=config.alpha
+            )
             row = {
                 "r": rr,
-                "alpha_estimate": rep_c.alpha_estimate,
-                "C_holds": rep_c.holds,
-                "A_holds": rep_a.holds,
+                "alpha_estimate": at_rr["C"].alpha_estimate,
+                "C_holds": at_rr["C"].holds,
+                "A_holds": at_rr["A"].holds,
             }
             if entry.known_alpha is not None:
                 row["alpha_known"] = float(entry.known_alpha(x0, rr))
@@ -333,14 +335,14 @@ def _run_flow_mode(
     pf,
     x0: np.ndarray,
     r: float,
+    conditions: dict,
     run_dir: Path,
     report: RunReport,
 ) -> List[RateCertificate]:
     f = entry.functional
     aux = auxiliary_functions(pf)
     controls = FlowControls(**config.flow_controls)
-    cond = check_condition_A(f, pf, x0, r)
-    cond_strict = check_condition_A(f, pf, x0, r, strict=True)
+    cond, cond_strict = conditions["A"], conditions["A-strict"]
     report.condition.setdefault("A", _condition_to_dict(cond))
     report.condition.setdefault("A-strict", _condition_to_dict(cond_strict))
     traj = integrate_maximal_slope(f, x0, t_end=config.horizon, controls=controls)
@@ -389,15 +391,14 @@ def _run_prox_mode(
     pf,
     x0: np.ndarray,
     r: float,
+    conditions: dict,
     run_dir: Path,
     report: RunReport,
 ) -> List[RateCertificate]:
     f = entry.functional
     aux = auxiliary_functions(pf)
     controls = ProxControls(**config.prox_controls)
-    if config.tau is None:
-        raise ValueError(f"run {config.run_id!r}: prox mode needs tau")
-    cond_strict = check_condition_A(f, pf, x0, r, strict=True)
+    cond_strict = conditions["A-strict"]
     report.condition.setdefault("A-strict", _condition_to_dict(cond_strict))
     seq = run_prox_sequence(f, x0, config.tau, config.n_steps, controls)
     tol = config.certificate_tol()
@@ -519,19 +520,31 @@ def run_experiment(
         x0 = as_point(config.x0)
         pf = _theta_for(config, entry, x0)
         r = _radius_for(config, entry, x0)
+        if config.mode == "prox" and config.tau is None:
+            raise ValueError(f"run {config.run_id!r}: prox mode needs tau")
         report.notes.append(
             f"theta: family={pf.family} c={pf.c} gamma={pf.gamma} r={r}"
         )
+        # one scan of B_r(x0) serves every mode of the run
+        conditions = check_conditions(
+            entry.functional, pf, x0, r, alpha_override=config.alpha
+        )
     if config.mode in ("condition", "all"):
-        cond_reports, summary = _run_condition_mode(config, entry, pf, x0, r)
+        cond_reports, summary = _run_condition_mode(
+            config, entry, pf, x0, r, conditions
+        )
         report.condition.update(cond_reports)
         if summary:
             report.flow_summary = report.flow_summary or {}
             report.flow_summary.update(plain(summary))
     if config.mode in ("flow", "all"):
-        certs.extend(_run_flow_mode(config, entry, pf, x0, r, run_dir, report))
+        certs.extend(
+            _run_flow_mode(config, entry, pf, x0, r, conditions, run_dir, report)
+        )
     if config.mode in ("prox", "all") and (config.mode == "prox" or config.tau is not None):
-        certs.extend(_run_prox_mode(config, entry, pf, x0, r, run_dir, report))
+        certs.extend(
+            _run_prox_mode(config, entry, pf, x0, r, conditions, run_dir, report)
+        )
     if config.mode == "recursion" or (config.mode == "all" and config.recursion):
         certs.extend(_run_recursion_mode(config, run_dir, report))
 
@@ -596,16 +609,27 @@ def load_manifest(path) -> List[ExperimentConfig]:
 
 
 def run_suite(manifest_path, output_root=None) -> SuiteReport:
-    """Run every config in a manifest and aggregate the verdicts."""
+    """Run every config in a manifest and aggregate the verdicts.
+
+    ``suite_report.json`` goes to ``output_root`` or, without one, to the
+    ``output_dir`` the configs share; configs that name different ones are
+    rejected before anything runs.
+    """
     configs = load_manifest(manifest_path)
     if not configs:
         raise ValueError("manifest holds no runs")
+    output_dirs = {c.output_dir for c in configs}
+    if output_root is None and len(output_dirs) > 1:
+        raise ValueError(
+            "manifest runs name different output_dir values "
+            f"{sorted(output_dirs, key=str)}; give one output root"
+        )
     reports = [run_experiment(cfg, output_root=output_root) for cfg in configs]
     failing = [r.run_id for r in reports if r.verdict != "pass"]
     suite = SuiteReport(
         verdict="pass" if not failing else "fail", failing=failing, reports=reports
     )
-    root = resolve_output_root(output_root, None)
+    root = resolve_output_root(output_root, configs[0].output_dir)
     root.mkdir(parents=True, exist_ok=True)
     payload = plain(
         {

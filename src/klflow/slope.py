@@ -53,54 +53,36 @@ class MonotoneMap:
     left_deriv: Callable[[float], float]
 
 
-def _sampled_quotients(
-    f: Functional,
-    x: np.ndarray,
-    fx: float,
-    radii: Sequence[float],
-    n_directions: int,
-    seed: int,
-) -> Tuple[list, int]:
-    dirs = unit_directions(x.size, n_directions, seed)
-    per_radius = []
-    n_samples = 0
-    for r in sorted(radii, reverse=True):
-        best = 0.0
-        for d in dirs:
-            y = x + r * d
-            fy = f.value(y)
-            n_samples += 1
-            if fy < fx:
-                q = (fx - fy) / r
-                if q > best:
-                    best = q
-        per_radius.append((r, best))
-    return per_radius, n_samples
-
-
 def sampled_slope(
     f: Functional,
     x,
     radii: Sequence[float] = DEFAULT_RADII,
     n_directions: int = DEFAULT_DIRECTIONS,
     seed: int = SAMPLER_SEED,
+    fx: Optional[float] = None,
 ) -> SlopeEstimate:
     """Ball-sampling descending slope estimate, ignoring attached oracles.
 
     Takes the max difference quotient over the two finest radii as the
-    limsup surrogate.  Points whose neighbours all evaluate to +inf get
-    slope 0 (isolated-in-domain convention).
+    limsup surrogate, so only those two radii are probed, in one batched
+    value call.  Points whose neighbours all evaluate to +inf get slope 0
+    (isolated-in-domain convention).  ``fx`` is f(x) when the caller
+    already holds it.
     """
     x = np.asarray(x, dtype=float)
-    fx = f.value(x)
+    if fx is None:
+        fx = f.value(x)
     if fx == INF:
         return SlopeEstimate(INF, 0.0, 0, "ball-sampling")
     if len(radii) == 0:
         raise ValueError("radius schedule must be non-empty")
-    per_radius, n = _sampled_quotients(f, x, fx, radii, n_directions, seed)
-    finest = per_radius[-2:] if len(per_radius) >= 2 else per_radius
-    value = max(q for _, q in finest)
-    return SlopeEstimate(value, per_radius[-1][0], n, "ball-sampling")
+    finest = np.array(sorted(radii, reverse=True)[-2:], dtype=float)
+    dirs = unit_directions(x.size, n_directions, seed)
+    probes = (x + finest[:, None, None] * dirs).reshape(-1, x.size)
+    fy = f.values(probes).reshape(len(finest), len(dirs))
+    quotients = np.where(fy < fx, (fx - fy) / finest[:, None], 0.0)
+    value = float(quotients.max(initial=0.0))
+    return SlopeEstimate(value, float(finest[-1]), len(probes), "ball-sampling")
 
 
 def descending_slope(
@@ -109,15 +91,18 @@ def descending_slope(
     radii: Sequence[float] = DEFAULT_RADII,
     n_directions: int = DEFAULT_DIRECTIONS,
     seed: int = SAMPLER_SEED,
+    fx: Optional[float] = None,
 ) -> SlopeEstimate:
     """Descending slope of f at x.
 
     Prefers the functional's exact slope oracle, then the gradient norm on
     smooth points, then ball sampling.  f(x) = +inf returns +inf by the
-    outside-domain convention.
+    outside-domain convention.  ``fx`` is f(x) when the caller already
+    holds it.
     """
     x = np.asarray(x, dtype=float)
-    fx = f.value(x)
+    if fx is None:
+        fx = f.value(x)
     if fx == INF:
         return SlopeEstimate(INF, 0.0, 0, "analytic")
     if f.analytic_slope is not None:
@@ -125,7 +110,9 @@ def descending_slope(
     g = f.gradient(x)
     if g is not None:
         return SlopeEstimate(float(np.linalg.norm(g)), 0.0, 0, "gradient-norm")
-    return sampled_slope(f, x, radii=radii, n_directions=n_directions, seed=seed)
+    return sampled_slope(
+        f, x, radii=radii, n_directions=n_directions, seed=seed, fx=fx
+    )
 
 
 def chain_rule_slope(

@@ -1,5 +1,6 @@
 """Threshold condition checks: alpha estimation, budgets, and the equivalence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from klflow import (
+    Functional,
     check_condition_A,
     check_condition_C,
     estimate_alpha,
@@ -14,6 +16,7 @@ from klflow import (
     matched_half_power,
     resolve_entry,
 )
+from klflow.conditions import ConditionReport, check_conditions
 
 # entry id, anchor, reference radius used for the equivalence sweep
 EQUIV_ANCHORS = (
@@ -146,3 +149,84 @@ def test_alpha_estimate_decreases_with_radius(x0, radii):
     a_small = estimate_alpha(e.functional, np.array([x0]), r1)
     a_large = estimate_alpha(e.functional, np.array([x0]), r2)
     assert a_large <= a_small + 1e-9
+
+
+def _same(a, b) -> bool:
+    """Exact equality, NaN equal to NaN, arrays compared element by element."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a, b, equal_nan=True)
+        )
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+def _oracle_free(cid, batched=False):
+    """The entry's value oracle alone: every slope comes from ball sampling."""
+    f = resolve_entry(cid).functional
+    return Functional(
+        label=f"oracle-free {cid}",
+        value=f.value,
+        backend=f.backend,
+        batch_value=f.batch_value if batched else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "f,theta,x0,r,kwargs",
+    [
+        (resolve_entry("quadratic?lambda=1").functional, (0.5**0.5, 0.5), [1.0], 1.0, {}),
+        (resolve_entry("sharpness?c=1&gamma=0.5&M=4&eps=0.05").functional, (1.0, 0.5), [1.0], 1.0, {}),
+        (resolve_entry("truncated-parabola").functional, (0.5, 0.5), [1.0], 1.5, {}),
+        (resolve_entry("double-well?lambda=1&a=1").functional, (0.5**0.5, 0.5), [0.5], 0.5,
+         {"alpha_override": 2.0}),
+        (resolve_entry("quadratic?lambda=2&center=0,0").functional, (0.5, 0.5), [1.0, 0.5], 0.8,
+         {"sample_count": 256}),
+        (resolve_entry("power-potential?p=4&center=0,0,0").functional, (1.0, 0.25),
+         [1.0, 0.5, 0.25], 1.2, {"sample_count": 512, "seed": 7}),
+        (_oracle_free("quadratic?lambda=1"), (0.5**0.5, 0.5), [1.0], 0.5, {"sample_count": 512}),
+        (_oracle_free("quadratic?lambda=1&center=0,0", batched=True), (0.5**0.5, 0.5),
+         [1.0, 0.5], 0.5, {"sample_count": 64}),
+        (resolve_entry("quadratic?lambda=1").functional, (0.5**0.5, 0.5), [0.0], 1.0, {}),
+    ],
+    ids=["q-1d", "sharpness", "trunc", "dw-override", "q-2d", "p4-3d", "free-1d", "free-2d",
+         "equilibrium"],
+)
+def test_check_conditions_matches_the_four_checks(f, theta, x0, r, kwargs):
+    pf = make_power_theta(*theta)
+    x0 = np.array(x0)
+    together = check_conditions(f, pf, x0, r, **kwargs)
+    a_kwargs = {k: v for k, v in kwargs.items() if k != "alpha_override"}
+    apart = {
+        "A": check_condition_A(f, pf, x0, r, **a_kwargs),
+        "A-strict": check_condition_A(f, pf, x0, r, strict=True, **a_kwargs),
+        "C": check_condition_C(f, x0, r, **kwargs),
+        "C-strict": check_condition_C(f, x0, r, strict=True, **kwargs),
+    }
+    assert together.keys() == apart.keys()
+    for name, rep in apart.items():
+        for fld in dataclasses.fields(ConditionReport):
+            mine, theirs = getattr(together[name], fld.name), getattr(rep, fld.name)
+            assert _same(mine, theirs), (name, fld.name, mine, theirs)
+
+
+def test_reports_say_how_the_verdict_was_computed():
+    pf = make_power_theta(0.5**0.5, 0.5)
+    x0 = np.array([1.0])
+    sampled = check_conditions(_oracle_free("quadratic?lambda=1"), pf, x0, 0.5, sample_count=64, seed=3)
+    for rep in sampled.values():
+        assert rep.details["sample_count"] == 64 and rep.details["seed"] == 3
+        assert rep.details["slope_method"] == "ball-sampling"
+    exact = check_conditions(resolve_entry("quadratic?lambda=1").functional, pf, x0, 0.5,
+                             alpha_override=2.0)
+    assert exact["A"].details["slope_method"] == "analytic"
+    # a given alpha is not a sampled verdict
+    assert exact["C"].details["sample_count"] == 0
+    assert exact["C"].details["slope_method"] is None

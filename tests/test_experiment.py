@@ -237,6 +237,43 @@ def test_run_suite_aggregates(tmp_path):
     assert (tmp_path / "suite_report.json").exists()
 
 
+def test_suite_report_goes_to_the_shared_output_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("KLFLOW_OUTPUT_ROOT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    shared = str(tmp_path / "shared")
+    manifest = tmp_path / "suite.yaml"
+    manifest.write_text(
+        yaml.safe_dump(
+            [dict(FLOW_CFG, output_dir=shared), dict(RECURSION_CFG, output_dir=shared)]
+        )
+    )
+    run_suite(manifest)
+    assert (tmp_path / "shared" / "suite_report.json").exists()
+    assert (tmp_path / "shared" / "rec" / "report.json").exists()
+    assert not (tmp_path / "klflow_output").exists()
+
+
+def test_suite_rejects_different_output_dirs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    manifest = tmp_path / "suite.yaml"
+    manifest.write_text(
+        yaml.safe_dump(
+            [
+                dict(FLOW_CFG, output_dir=str(tmp_path / "a")),
+                dict(RECURSION_CFG, output_dir=str(tmp_path / "b")),
+            ]
+        )
+    )
+    with pytest.raises(ValueError, match="different output_dir"):
+        run_suite(manifest)
+    assert cli_main(["suite", str(manifest)]) == 2
+    assert "different output_dir" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    # one output root settles where every run goes
+    assert cli_main(["suite", str(manifest), "--output", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "suite_report.json").exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.yaml"
     good.write_text(yaml.safe_dump(RECURSION_CFG))
@@ -308,6 +345,42 @@ def test_condition_reports_parse_as_strict_json(tmp_path):
         payload = json.loads(path.read_text(), parse_constant=reject)
         # the C variants have no theta budget: it is written as "nan"
         assert payload["condition"]["C"]["theta_budget"] == "nan"
+
+
+def test_each_ball_is_scanned_once_per_run(tmp_path, monkeypatch):
+    import klflow.conditions
+
+    radii_scanned = []
+    scan = klflow.conditions._scan
+
+    def counted(f, x0, r, *args):
+        radii_scanned.append(r)
+        return scan(f, x0, r, *args)
+
+    monkeypatch.setattr(klflow.conditions, "_scan", counted)
+    cond = {
+        "id": "q-cond",
+        "mode": "condition",
+        "functional": "quadratic?lambda=1",
+        "x0": 1.0,
+        "r": 1.0,
+    }
+    run_experiment(ExperimentConfig.from_dict(dict(cond, radii=[0.5, 1.5])), tmp_path)
+    assert radii_scanned == [1.0, 0.5, 1.5]
+    radii_scanned.clear()
+    # a sweep radius equal to r reuses the scan at r
+    run_experiment(
+        ExperimentConfig.from_dict(dict(cond, radii=[0.5, 1.0, 1.5])), tmp_path
+    )
+    assert radii_scanned == [1.0, 0.5, 1.5]
+    radii_scanned.clear()
+    run_experiment(ExperimentConfig.from_dict(FLOW_CFG), output_root=tmp_path)
+    assert radii_scanned == [1.0]
+    # a prox run without tau is rejected before its ball is scanned
+    no_tau = {k: v for k, v in PROX_CFG.items() if k != "tau"}
+    with pytest.raises(ValueError, match="needs tau"):
+        run_experiment(ExperimentConfig.from_dict(no_tau), output_root=tmp_path)
+    assert radii_scanned == [1.0]
 
 
 def test_prox_summary_reports_resolvent_facts(tmp_path):

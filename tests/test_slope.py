@@ -15,7 +15,8 @@ from klflow import (
     sampled_slope,
 )
 from klflow.core import INF
-from klflow.slope import MonotoneMap, chain_rule_slope
+from klflow.sampling import SAMPLER_SEED, unit_directions
+from klflow.slope import DEFAULT_RADII, MonotoneMap, chain_rule_slope
 
 CORPUS_IDS = (
     "quadratic?lambda=1",
@@ -64,6 +65,87 @@ def test_slope_outside_effective_domain_is_infinite():
     )
     assert math.isinf(descending_slope(f, np.array([1.5])).value)
     assert abs(descending_slope(f, np.array([0.5])).value - 0.5) < 1e-4
+
+
+def _four_radius_reference(f, x, radii=DEFAULT_RADII, n_directions=64):
+    """The scalar loop over every radius that the estimator's value follows."""
+    fx = f.value(x)
+    dirs = unit_directions(x.size, n_directions, SAMPLER_SEED)
+    per_radius = []
+    for r in sorted(radii, reverse=True):
+        best = 0.0
+        for d in dirs:
+            fy = f.value(x + r * d)
+            if fy < fx:
+                best = max(best, (fx - fy) / r)
+        per_radius.append((r, best))
+    return max(q for _, q in per_radius[-2:]), per_radius[-1][0]
+
+
+def _oracle_free(cid):
+    f = resolve_entry(cid).functional
+    return Functional(label=f"oracle-free {cid}", value=f.value, backend=f.backend)
+
+
+BOXED = Functional(
+    label="boxed",
+    backend=EuclideanBackend(1),
+    value=lambda x: float(0.5 * x[0] ** 2) if abs(x[0]) <= 1.0 else INF,
+)
+
+
+@pytest.mark.parametrize(
+    "f,point",
+    [
+        (resolve_entry("power-potential?p=1").functional, [0.0]),  # kink at the minimiser
+        (resolve_entry("power-potential?p=1").functional, [1.0]),
+        (resolve_entry("double-well?lambda=1&a=1").functional, [0.0]),  # ridge
+        (resolve_entry("double-well?lambda=1&a=1").functional, [1.0]),  # well bottom
+        (resolve_entry("asymmetric-double-well").functional, [0.3]),
+        (resolve_entry("truncated-parabola").functional, [-0.5]),  # plateau
+        (resolve_entry("truncated-parabola").functional, [0.0]),  # plateau edge
+        (resolve_entry("staircase?m=1&eps=0.1").functional, [1.0]),  # jump
+        (resolve_entry("staircase?m=1&eps=0.1").functional, [-1.0]),  # flat
+        (BOXED, [1.0]),  # +inf neighbours on one side
+        (BOXED, [1.0 + 5e-6]),  # outside the domain
+        (_oracle_free("quadratic?lambda=1&center=0,0"), [1.0, 0.5]),
+        (_oracle_free("power-potential?p=1&center=0,0,0"), [0.0, 0.0, 0.0]),
+        (resolve_entry("power-potential?p=1&center=0,0,0").functional, [0.3, -0.2, 0.1]),
+    ],
+)
+def test_sampled_slope_is_the_four_radius_value(f, point):
+    x = np.array(point)
+    est = sampled_slope(f, x)
+    value, radius = _four_radius_reference(f, x)
+    assert est.value == value
+    if math.isinf(value):
+        assert (est.radius_used, est.samples) == (0.0, 0)
+        return
+    assert est.radius_used == radius
+    # only the two finest radii are probed
+    assert est.samples == 2 * len(unit_directions(x.size, 64, SAMPLER_SEED))
+    finest_two = (1e-4, 1e-5)
+    assert sampled_slope(f, x, radii=finest_two).value == est.value
+    assert sampled_slope(f, x, radii=(1e-3,)).value == _four_radius_reference(
+        f, x, radii=(1e-3,)
+    )[0]
+
+
+def test_oracle_free_2d_sampled_slope_call_budget():
+    f = resolve_entry("quadratic?lambda=1&center=0,0").functional
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return f.value(x)
+
+    counted = Functional(label="counted", value=value, backend=f.backend)
+    est = sampled_slope(counted, np.array([1.0, 0.5]))
+    assert len(calls) == 1 + 2 * 64
+    assert est.samples == 2 * 64
+    calls.clear()
+    descending_slope(counted, np.array([1.0, 0.5]), fx=f.value(np.array([1.0, 0.5])))
+    assert len(calls) == 2 * 64
 
 
 def test_corpus_sampled_matches_analytic():
