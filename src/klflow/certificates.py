@@ -5,7 +5,8 @@ A certificate keeps the series a decay claim was checked on (``ts``,
 verdict at a stated tolerance.  Flow, prox and the experiment runner build
 every certificate through ``certificate`` (``skipped_certificate`` for a
 claim that could not be tested), and the runner summarises them for
-``report.json`` with ``certificate_to_dict``.
+``report.json`` with ``certificate_to_dict``.  ``theta_distance_margin`` is the
+one pairwise check of d(y_i, y_j) <= theta_i - theta_j, for flow and prox.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, plain
+from .core import INF, plain, row_norms
 
 DEFAULT_CERT_TOL = 1e-7
 
@@ -38,6 +39,18 @@ def min_margin(predicted: np.ndarray, observed: np.ndarray) -> float:
     diff = predicted - observed
     diff = diff[~np.isnan(diff)]
     return float(diff.min()) if diff.size else INF
+
+
+def theta_distance_margin(theta: np.ndarray, points: np.ndarray) -> float:
+    """Smallest theta_i - theta_j - d(p_i, p_j) over pairs i < j; +inf if n < 2.
+
+    One row at a time, in O(n) memory, with ``core.row_norms`` distances.
+    """
+    row_mins = [
+        (theta[i] - theta[i + 1 :] - row_norms(points[i + 1 :] - points[i])).min()
+        for i in range(len(theta) - 1)
+    ]
+    return float(np.min(row_mins)) if row_mins else INF
 
 
 def certificate(

@@ -103,12 +103,11 @@ def as_point(x) -> np.ndarray:
 def row_norms(diff: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row, rounded as the 1-d call rounds it.
 
-    That call is ``sqrt(dot(d, d))``; in several dimensions the BLAS dot
-    rounds differently from a vectorised sum of squares, so it is kept.
+    That call is ``sqrt(dot(d, d))``.  A stacked ``matmul`` of each row
+    with itself makes the same dot per row; in several dimensions a
+    vectorised sum of squares rounds differently.
     """
-    if diff.shape[1] == 1:
-        return np.sqrt(diff[:, 0] * diff[:, 0])
-    return np.sqrt([row.dot(row) for row in diff])
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .certificates import (
-    DEFAULT_CERT_TOL, RateCertificate, certificate, min_margin, skipped_certificate
+    DEFAULT_CERT_TOL, RateCertificate, certificate, min_margin, skipped_certificate,
+    theta_distance_margin,
 )
 from .conditions import ConditionReport
 from .core import (
     FLOW_POLICIES, INF, EuclideanBackend, Functional, as_point, check_policy,
-    pick_branch, write_csv,
+    pick_branch, row_norms, write_csv,
 )
 from .sampling import unit_directions
 from .theta import AuxiliaryFunctions, ParameterFunction
@@ -437,7 +438,6 @@ def certify_rates_continuous(
     Decreasing-in-time energy bounds are compared on samples with t <= t*.
     """
     x0 = as_point(x0)
-    backend = EuclideanBackend(x0.size)
     ts, fsv, xs = traj.ts, traj.fs, traj.xs
     t_star = traj.t_star if traj.t_star is not None else float(ts[-1])
     theta_f = np.array([pf.theta(max(v, 0.0)) for v in fsv])
@@ -446,21 +446,16 @@ def certify_rates_continuous(
 
     # pairwise theta-distance: d(y_s, y_t) <= theta(f(y_s)) - theta(f(y_t))
     idx = np.unique(np.linspace(0, ts.size - 1, pair_count).astype(int))
-    pair_margin = INF
-    for ii, i in enumerate(idx):
-        for j in idx[ii + 1 :]:
-            bound = theta_f[i] - theta_f[j]
-            obs = backend.distance(xs[i], xs[j])
-            pair_margin = min(pair_margin, bound - obs)
     cert_pairs = certificate(
         "theta-distance",
         ts[idx],
         theta_f[0] - theta_f[idx],
-        np.array([backend.distance(xs[0], xs[j]) for j in idx]),
+        row_norms(xs[idx] - xs[0]),
         t_star,
         tol,
-        {"pairs": int(len(idx) * (len(idx) - 1) / 2), "condition_certified": certified},
-        margin=pair_margin,
+        {"pairs": idx.size * (idx.size - 1) // 2, "pairs_sampled": idx.size < ts.size,
+         "condition_certified": certified},
+        margin=theta_distance_margin(theta_f[idx], xs[idx]),
     )
     certs.append(cert_pairs)
 
@@ -483,9 +478,7 @@ def certify_rates_continuous(
                 )
             )
         else:
-            dlim = np.array(
-                [backend.distance(x, traj.limit_point) for x in xs[pre_mask]]
-            )
+            dlim = row_norms(xs[pre_mask] - traj.limit_point)
             obs = np.array([aux.gamma(min(d, r)) for d in dlim])
             pred = gamma_r - ts[pre_mask]
             certs.append(
@@ -507,7 +500,7 @@ def certify_rates_continuous(
     )
 
     # confinement in the closed ball, strictly inside while f > f_tol
-    d_anchor = np.array([backend.distance(x, x0) for x in xs])
+    d_anchor = row_norms(xs - x0)
     inside_ok = bool(np.all(d_anchor <= r + 1e-9 * max(1.0, r)))
     live = fsv > traj.f_tol
     strict_margin = float((r - d_anchor[live]).min()) if live.any() else INF
@@ -529,9 +522,7 @@ def certify_rates_continuous(
             )
         )
         if traj.limit_point is not None:
-            dlim_all = np.array(
-                [backend.distance(x, traj.limit_point) for x in xs]
-            )
+            dlim_all = row_norms(xs - traj.limit_point)
             pred_d = r * np.exp(-ts / (2.0 * c2))
             certs.append(
                 certificate(
@@ -603,10 +594,7 @@ def certify_power_family(
     margins = [margin_f]
 
     if r is not None and traj.limit_point is not None:
-        backend = EuclideanBackend(traj.x0.size)
-        dlim = np.array(
-            [backend.distance(x, traj.limit_point) for x in traj.xs[mask]]
-        )
+        dlim = row_norms(traj.xs[mask] - traj.limit_point)
         if gamma == 0.5:
             pred_d = r * np.exp(-tm / (2.0 * c2))
         else:

@@ -24,11 +24,12 @@ import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
 
 from .certificates import (
-    DEFAULT_CERT_TOL, RateCertificate, certificate, skipped_certificate
+    DEFAULT_CERT_TOL, RateCertificate, certificate, skipped_certificate,
+    theta_distance_margin,
 )
 from .core import (
     INF, PROX_POLICIES, Functional, as_point, check_policy, dense_scan, pick_branch,
-    write_csv,
+    row_norms, write_csv,
 )
 from .sampling import ball_sample
 from .slope import descending_slope
@@ -324,6 +325,10 @@ def run_prox_sequence(
         taus = [float(t) for t in tau]
         if n_steps is not None and n_steps != len(taus):
             raise ValueError("n_steps disagrees with the tau schedule length")
+    if len(taus) > c.max_steps:
+        raise ValueError(
+            f"the schedule has {len(taus)} steps, more than max_steps={c.max_steps}"
+        )
     points = [x.copy()]
     fs = [f.value(x)]
     dists = [0.0]
@@ -719,32 +724,28 @@ def certify_rates_discrete(
     ks = np.arange(n, dtype=float)
     t_star = float(seq.terminated_at) if seq.terminated_at is not None else float(n - 1)
     theta_f = np.array([pf.theta(max(v, 0.0)) for v in fs])
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dmat = np.sqrt((diffs * diffs).sum(axis=2))
-    iu, ju = np.triu_indices(n, k=1)
-    pair_margin = float((theta_f[iu] - theta_f[ju] - dmat[iu, ju]).min()) if iu.size else INF
+    dlast = row_norms(pts - pts[-1])
     certs: List[RateCertificate] = []
     cert = certificate(
         "discrete-theta-distance",
         ks,
         theta_f[0] - theta_f,
-        dmat[0, :],
+        row_norms(pts - pts[0]),
         t_star,
         tol,
-        {"pairs": int(iu.size)},
-        margin=pair_margin,
+        {"pairs": n * (n - 1) // 2, "pairs_sampled": False},
+        margin=theta_distance_margin(theta_f, pts),
     )
     certs.append(cert)
 
     certs.append(
         certificate(
-            "discrete-theta-tail", ks[:-1], theta_f[:-1], dmat[:-1, n - 1], t_star, tol
+            "discrete-theta-tail", ks[:-1], theta_f[:-1], dlast[:-1], t_star, tol
         )
     )
 
     if x0 is not None and r is not None:
-        x0a = as_point(x0)
-        d0 = np.array([float(np.linalg.norm(p - x0a)) for p in pts])
+        d0 = row_norms(pts - as_point(x0))
         certs.append(
             certificate(
                 "discrete-confinement", ks, np.full(n, float(r)), d0, t_star, tol,
@@ -769,7 +770,7 @@ def certify_rates_discrete(
                     "discrete-geometric-distance",
                     ks,
                     float(r) * np.sqrt(factors),
-                    dmat[:, n - 1],
+                    dlast,
                     t_star,
                     tol,
                     {"alpha": float(alpha), "limit_proxy": "last iterate"},
@@ -813,7 +814,7 @@ def certify_power_rates_discrete(
             )
         ]
     alpha_rec = tau / (c * c)
-    dlast = np.array([float(np.linalg.norm(p - seq.points[-1])) for p in seq.points])
+    dlast = row_norms(seq.points - seq.points[-1])
 
     if gamma == 1.0:
         pred_lin = np.maximum(fs[0] - ks * alpha_rec, 0.0)

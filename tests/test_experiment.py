@@ -308,6 +308,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
 
+def test_prox_schedule_longer_than_max_steps_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(
+        yaml.safe_dump(
+            dict(PROX_CFG, n_steps=60, prox_controls={"max_steps": 5, "n_grid": 33})
+        )
+    )
+    assert cli_main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "60 steps, more than max_steps=5" in err
+    assert not (tmp_path / "o" / "cone-prox" / "sequence.csv").exists()
+
+
 def test_unknown_policy_fails_at_load_and_cli_exits_2(tmp_path, capsys):
     with pytest.raises(ValueError, match="unknown policy 'negative'"):
         ExperimentConfig.from_dict(dict(PROX_CFG, prox_controls={"policy": "negative"}))

@@ -417,3 +417,21 @@ def test_pick_branch_table(policy, expected):
         assert tuple(pick_branch(order, policy, x)) == expected
     with pytest.raises(ValueError, match="unknown policy 'nearest'"):
         pick_branch(cands, "nearest", x)
+
+
+def test_max_steps_rejects_a_longer_schedule(monkeypatch):
+    import klflow.prox
+
+    def no_resolvent(*args, **kwargs):
+        raise AssertionError("resolvent called before the schedule was checked")
+
+    monkeypatch.setattr(klflow.prox, "resolvent", no_resolvent)
+    e = resolve_entry("quadratic?lambda=1")
+    controls = ProxControls(max_steps=5)
+    with pytest.raises(ValueError, match=r"6 steps, more than max_steps=5"):
+        run_prox_sequence(e.functional, np.array([1.0]), 0.5, n_steps=6, controls=controls)
+    with pytest.raises(ValueError, match=r"7 steps, more than max_steps=5"):
+        run_prox_sequence(e.functional, np.array([1.0]), [0.5] * 7, controls=controls)
+    monkeypatch.undo()
+    seq = run_prox_sequence(e.functional, np.array([1.0]), 0.5, n_steps=5, controls=controls)
+    assert seq.taus.size == 5
