@@ -51,6 +51,7 @@ from .prox import (
     recursive_bound_params,
     run_prox_sequence,
     sequence_to_csv,
+    tau_schedule,
 )
 from .theta import auxiliary_functions, make_power_theta
 
@@ -79,9 +80,12 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # reject bad control keys and policy names before anything runs
+        # reject bad control keys, policy names and prox schedules before
+        # anything runs; a base config with variants runs only through them
         FlowControls(**self.flow_controls)
-        ProxControls(**self.prox_controls)
+        prox = ProxControls(**self.prox_controls)
+        if not self.variants and self.tau is not None and self.mode in ("prox", "all"):
+            tau_schedule(self.tau, self.n_steps, prox.max_steps)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -346,7 +350,7 @@ def _run_flow_mode(
     report.condition.setdefault("A", _condition_to_dict(cond))
     report.condition.setdefault("A-strict", _condition_to_dict(cond_strict))
     traj = integrate_maximal_slope(f, x0, t_end=config.horizon, controls=controls)
-    ede = verify_ede(traj, f)
+    ede = verify_ede(traj)
     tol = config.certificate_tol()
     certs = certify_rates_continuous(traj, pf, aux, x0, r, tol=tol, condition=cond)
     if pf.family == "power":

@@ -307,6 +307,27 @@ def resolvent(
 # sequence
 
 
+def tau_schedule(
+    tau: Union[float, Sequence[float]], n_steps: Optional[int], max_steps: int
+) -> List[float]:
+    """The per-step taus of a prox run: a scalar tau repeated ``n_steps``
+    times, or a list whose length ``n_steps`` (if given) must match.
+
+    A schedule longer than ``max_steps`` is rejected before it is built.
+    """
+    scalar = np.isscalar(tau) or isinstance(tau, float)
+    if scalar and n_steps is None:
+        raise ValueError("n_steps required with scalar tau")
+    length = int(n_steps) if scalar else len(tau)
+    if not scalar and n_steps is not None and n_steps != length:
+        raise ValueError("n_steps disagrees with the tau schedule length")
+    if length > max_steps:
+        raise ValueError(
+            f"the schedule has {length} steps, more than max_steps={max_steps}"
+        )
+    return [float(tau)] * length if scalar else [float(t) for t in tau]
+
+
 def run_prox_sequence(
     f: Functional,
     x0,
@@ -317,18 +338,7 @@ def run_prox_sequence(
     """Iterate the resolvent from x0 with constant or per-step tau."""
     c = controls or ProxControls()
     x = as_point(x0)
-    if np.isscalar(tau) or isinstance(tau, float):
-        if n_steps is None:
-            raise ValueError("n_steps required with scalar tau")
-        taus = [float(tau)] * int(n_steps)
-    else:
-        taus = [float(t) for t in tau]
-        if n_steps is not None and n_steps != len(taus):
-            raise ValueError("n_steps disagrees with the tau schedule length")
-    if len(taus) > c.max_steps:
-        raise ValueError(
-            f"the schedule has {len(taus)} steps, more than max_steps={c.max_steps}"
-        )
+    taus = tau_schedule(tau, n_steps, c.max_steps)
     points = [x.copy()]
     fs = [f.value(x)]
     dists = [0.0]

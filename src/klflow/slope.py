@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import INF, EuclideanBackend, Functional
+from .core import INF, Functional
 from .sampling import SAMPLER_SEED, unit_directions
 
 #: default shrinking radius schedule for the sampled estimator
@@ -142,11 +142,7 @@ def chain_rule_slope(
     return d * s
 
 
-def metric_speed(
-    points: Sequence[Tuple[float, np.ndarray]],
-    t: float,
-    backend: Optional[EuclideanBackend] = None,
-) -> SpeedSample:
+def metric_speed(points: Sequence[Tuple[float, np.ndarray]], t: float) -> SpeedSample:
     """Metric speed |y'|(t) from time-stamped samples.
 
     Uses the symmetric quotient d(y_a, y_b) / (t_b - t_a) over the tightest
@@ -159,12 +155,10 @@ def metric_speed(
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
     coords = [np.asarray(p[1], dtype=float) for p in points]
-    if backend is None:
-        backend = EuclideanBackend(coords[0].size)
     n = len(points)
 
     def quotient(i: int, j: int) -> float:
-        return backend.distance(coords[i], coords[j]) / (times[j] - times[i])
+        return float(np.linalg.norm(coords[i] - coords[j])) / (times[j] - times[i])
 
     if t <= times[0]:
         return SpeedSample(t, quotient(0, 1), one_sided=True)

@@ -139,7 +139,7 @@ def test_04_energy_identity_order():
         traj = integrate_maximal_slope(
             e.functional, np.array([1.0]), t_end=1.0, controls=FlowControls(fixed_dt=dt)
         )
-        residuals[dt] = verify_ede(traj, e.functional).max_residual
+        residuals[dt] = verify_ede(traj).max_residual
     ratio = residuals[2e-3] / residuals[1e-3]
     _gate("04 energy identity order", ratio >= 1.8, f"ratio {ratio:.2f}")
 

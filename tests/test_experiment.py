@@ -321,6 +321,24 @@ def test_prox_schedule_longer_than_max_steps_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "cone-prox" / "sequence.csv").exists()
 
 
+def test_suite_checks_prox_schedules_before_any_run(tmp_path, capsys):
+    manifest = tmp_path / "suite.yaml"
+    long_prox = dict(PROX_CFG, id="b-prox", n_steps=60, prox_controls={"max_steps": 5})
+    manifest.write_text(yaml.safe_dump([dict(FLOW_CFG, id="a-flow"), long_prox]))
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="60 steps, more than max_steps=5"):
+        run_suite(manifest, output_root=out)
+    assert not out.exists()
+    assert cli_main(["suite", str(manifest), "--output", str(out)]) == 2
+    assert "60 steps, more than max_steps=5" in capsys.readouterr().err
+    assert not out.exists()
+    # a base config runs only through its variants, which are checked one by one
+    base = dict(PROX_CFG, n_steps=None, prox_controls={"max_steps": 5})
+    assert len(ExperimentConfig.from_dict(dict(base, variants=[{"n_steps": 5}])).expand()) == 1
+    with pytest.raises(ValueError, match="6 steps, more than max_steps=5"):
+        ExperimentConfig.from_dict(dict(base, variants=[{"n_steps": 6}])).expand()
+
+
 def test_unknown_policy_fails_at_load_and_cli_exits_2(tmp_path, capsys):
     with pytest.raises(ValueError, match="unknown policy 'negative'"):
         ExperimentConfig.from_dict(dict(PROX_CFG, prox_controls={"policy": "negative"}))

@@ -1,13 +1,16 @@
 """Steepest-descent curve integration, energy identities, rate certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from klflow import resolve_entry
+from klflow.core import pick_branch
 from klflow.flow import (
     FlowControls,
+    _probe_direction,
     certify_power_family,
     certify_rates_continuous,
     glue_trajectories,
@@ -17,6 +20,7 @@ from klflow.flow import (
     trajectory_to_csv,
     verify_ede,
 )
+from klflow.sampling import unit_directions
 from klflow.theta import auxiliary_functions, make_power_theta
 
 
@@ -57,8 +61,7 @@ def test_state_at_interpolates(quad_traj):
 
 
 def test_energy_identity_residuals(quad_traj):
-    e = resolve_entry("quadratic?lambda=1")
-    rep = verify_ede(quad_traj, e.functional)
+    rep = verify_ede(quad_traj)
     assert rep.n_interior > 100
     assert rep.max_residual < 1e-4
     assert rep.max_equality_residual < 1e-4
@@ -73,7 +76,7 @@ def test_energy_identity_second_order_in_dt():
         tr = integrate_maximal_slope(
             e.functional, np.array([1.0]), t_end=1.0, controls=FlowControls(fixed_dt=dt)
         )
-        out[dt] = verify_ede(tr, e.functional).max_residual
+        out[dt] = verify_ede(tr).max_residual
     assert out[2e-3] / out[1e-3] >= 1.8
 
 
@@ -184,3 +187,149 @@ def test_unknown_flow_policy_is_rejected():
     with pytest.raises(ValueError, match=valid):
         FlowControls(policy="smallest-distance")
     assert FlowControls(policy="lexicographic").policy == "lexicographic"
+
+
+# ---------------------------------------------------------------------------
+# the per-sample loops the array passes replaced, kept as references
+
+
+def reference_sample_speeds(ts, xs, segs):
+    n = ts.size
+    speeds = np.zeros(n)
+    for i in range(n):
+        lo = i - 1 if i > 0 and segs[i - 1] == segs[i] else i
+        hi = i + 1 if i < n - 1 and segs[i + 1] == segs[i] else i
+        if lo == hi:
+            continue
+        dt = ts[hi] - ts[lo]
+        if dt > 0:
+            speeds[i] = float(np.linalg.norm(xs[hi] - xs[lo])) / dt
+    return speeds
+
+
+def reference_verify_ede(traj, f):
+    """Residual rows, maxima and count, with slopes recomputed from f."""
+    ts, fsv, segs = traj.ts, traj.fs, traj.segments
+    slopes = traj.slopes
+    if f.analytic_slope is not None:
+        slopes = np.array([float(f.analytic_slope(x)) for x in traj.xs])
+    rows = []
+    eq_rows = []
+    n = ts.size
+    for i in range(1, n - 1):
+        if segs[i - 1] != segs[i] or segs[i + 1] != segs[i]:
+            continue
+        if traj.absorbed and traj.t_star is not None and ts[i + 1] > traj.t_star + 1e-14:
+            continue
+        dt = ts[i + 1] - ts[i - 1]
+        if dt <= 0:
+            continue
+        dfdt = (fsv[i + 1] - fsv[i - 1]) / dt
+        sp = float(np.linalg.norm(traj.xs[i + 1] - traj.xs[i - 1])) / dt
+        sl = slopes[i]
+        resid = abs(-dfdt - 0.5 * sp * sp - 0.5 * sl * sl)
+        triple = (-dfdt, sp * sp, sl * sl)
+        rows.append((ts[i], resid))
+        eq_rows.append((ts[i], max(triple) - min(triple)))
+    res = np.array(rows) if rows else np.zeros((0, 2))
+    eq = np.array(eq_rows) if eq_rows else np.zeros((0, 2))
+    return (
+        res,
+        float(res[:, 1].max()) if rows else 0.0,
+        eq,
+        float(eq[:, 1].max()) if eq_rows else 0.0,
+        len(rows),
+    )
+
+
+def reference_probe_direction(f, x, fx, c):
+    delta = c.probe_delta * max(1.0, float(np.linalg.norm(x)))
+    dirs = unit_directions(x.size, 16)
+    rates = []
+    for d in dirs:
+        rate = (fx - f.value(x + delta * d)) / delta
+        rates.append((rate, tuple(d)))
+    best = max(r for r, _ in rates)
+    tied = [d for r, d in rates if r >= best - 1e-9 * (1.0 + abs(best))]
+    return best, np.array(pick_branch(tied, c.policy))
+
+
+# functional, x0, horizon, and whether the run is glued and absorbed
+FLOWS = {
+    "staircase": ("staircase?m=1&eps=0.1", [1.5], 3.0, True, True),
+    "sharpness": ("sharpness?eps=0.05", [1.0], 8.0, True, False),
+    "quadratic-budget": ("quadratic?lambda=1", [1.0], None, False, True),
+    "quadratic-2d": ("quadratic?lambda=1&center=0,0", [1.0, 0.5], 3.0, False, False),
+    "quadratic-3d": ("quadratic?lambda=1&center=0,0,0", [1.0, 0.5, -0.25], 3.0, False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_array_passes_match_the_sample_loops(name):
+    fid, x0, horizon, glued, absorbed = FLOWS[name]
+    f = resolve_entry(fid).functional
+    tr = integrate_maximal_slope(f, np.array(x0), t_end=horizon)
+    assert (tr.glued, tr.absorbed) == (glued, absorbed)
+    speeds = reference_sample_speeds(tr.ts, tr.xs, tr.segments)
+    assert tr.speeds.tobytes() == speeds.tobytes()
+    res, max_res, eq, max_eq, n_interior = reference_verify_ede(tr, f)
+    rep = verify_ede(tr)
+    assert n_interior > 0 and rep.n_interior == n_interior
+    assert rep.residuals.tobytes() == res.tobytes()
+    assert rep.equality_residuals.tobytes() == eq.tobytes()
+    assert (rep.max_residual, rep.max_equality_residual) == (max_res, max_eq)
+
+
+@pytest.mark.parametrize("policy", ["positive-branch", "negative-branch"])
+@pytest.mark.parametrize(
+    "fid, x",
+    [
+        ("double-well?lambda=1&a=1", [0.0]),
+        ("staircase?m=1&eps=0.1", [1.0]),
+        ("power-potential?p=1&center=0,0", [0.0, 0.0]),
+    ],
+)
+def test_batched_kink_probe_matches_the_probe_loop(fid, x, policy):
+    f = resolve_entry(fid).functional
+    x = np.array(x)
+    c = FlowControls(policy=policy)
+    rate, direction = _probe_direction(f, x, f.value(x), c)
+    ref_rate, ref_direction = reference_probe_direction(f, x, f.value(x), c)
+    assert np.float64(rate).tobytes() == np.float64(ref_rate).tobytes()
+    assert direction.tobytes() == ref_direction.tobytes()
+
+
+def _counting(f):
+    """A copy of f whose oracles count their calls."""
+    calls = dict.fromkeys(["value", "batch_value", "analytic_slope", "smooth_gradient"], 0)
+
+    def counted(name):
+        oracle = getattr(f, name)
+
+        def call(x):
+            calls[name] += 1
+            return oracle(x)
+
+        return call if oracle is not None else None
+
+    return dataclasses.replace(f, **{name: counted(name) for name in calls}), calls
+
+
+def test_verify_ede_calls_no_oracle():
+    f, calls = _counting(resolve_entry("quadratic?lambda=1").functional)
+    tr = integrate_maximal_slope(f, np.array([1.0]))
+    assert calls["analytic_slope"] == tr.n_samples == 1350
+    calls.update(dict.fromkeys(calls, 0))
+    assert verify_ede(tr).n_interior > 0
+    assert set(calls.values()) == {0}
+
+
+def test_one_gradient_per_accepted_point():
+    # the first point costs one gradient; each accepted RK4 step then costs
+    # three stage gradients plus the one at its end point, which the next
+    # step reuses
+    f, calls = _counting(resolve_entry("quadratic?lambda=1").functional)
+    tr = integrate_maximal_slope(f, np.array([1.0]))
+    steps = tr.diagnostics["steps"]
+    assert (steps, tr.n_samples) == (1347, 1350)
+    assert calls["smooth_gradient"] == 4 * steps + 1 == 5389
