@@ -59,6 +59,16 @@ _MODES = ("condition", "flow", "prox", "recursion", "all")
 _NESTED = ("theta", "flow_controls", "prox_controls", "tolerances", "recursion")
 
 
+def _build_controls(cls, raw: dict, key: str):
+    """``cls(**raw)`` for a controls dataclass; a key it lacks is an error
+    that names the key and lists the valid ones."""
+    valid = [f.name for f in fields(cls)]
+    unknown = sorted(set(raw) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown {key} keys: {unknown}; valid keys: {valid}")
+    return cls(**raw)
+
+
 @dataclass
 class ExperimentConfig:
     run_id: str
@@ -82,8 +92,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # reject bad control keys, policy names and prox schedules before
         # anything runs; a base config with variants runs only through them
-        FlowControls(**self.flow_controls)
-        prox = ProxControls(**self.prox_controls)
+        _build_controls(FlowControls, self.flow_controls, "flow_controls")
+        prox = _build_controls(ProxControls, self.prox_controls, "prox_controls")
         if not self.variants and self.tau is not None and self.mode in ("prox", "all"):
             tau_schedule(self.tau, self.n_steps, prox.max_steps)
 

@@ -1,9 +1,9 @@
 """Steepest-descent trajectories and their decay-rate certificates.
 
 The integrator follows the negative gradient with adaptive explicit steps
-(step ~ safety * f / |grad f|^2, capped), which resolves the natural decay
-time scale and shrinks automatically near kink minima so the iterates absorb
-there instead of oscillating.  Steps are accepted only if the objective
+(step ~ SAFETY * f / |grad f|^2, capped at DT_MAX), which resolves the
+natural decay time scale and shrinks automatically near kink minima so the
+iterates absorb there instead of oscillating.  Steps are accepted only if the objective
 decreases and the observed dissipation matches the trapezoidal prediction;
 a rejected step triggers a halving Euler walk that pins the obstruction
 (value jump or gradient break) to a point, where a new segment is glued on.
@@ -36,21 +36,23 @@ from .sampling import unit_directions
 from .theta import AuxiliaryFunctions, ParameterFunction
 
 
+BUDGET = 40.0  #: time horizon of a budget-mode run (t_end None or inf)
+DT_MAX = 0.01  #: cap on the adaptive step SAFETY * max(f, F_TOL) / |grad f|^2
+SAFETY = 0.1
+F_TOL = 1e-12  #: absorption threshold for "f reached zero"
+EQUILIBRIUM_SLOPE_TOL = 1e-9  #: best probed descent rate of an equilibrium
+JUMP_FACTOR = 10.0  #: gradient-norm ratio that flags a break
+REVERSAL_COS = -0.25  #: gradient direction reversal flag
+DISSIPATION_REL = 0.25  #: relative tolerance on the predicted decrease
+EVENT_DT_FLOOR = 1e-9  #: event-walk step at which an obstruction is pinned
+KINK_KICK = 1e-9  #: displacement used to leave a descent kink, times max(1, |x|)
+PROBE_DELTA = 1e-7  #: one-sided probe length at a kink, times max(1, |x|)
+
+
 @dataclass
 class FlowControls:
-    budget: float = 40.0  # time horizon used when t_end is None/inf
-    dt_max: float = 0.01
-    safety: float = 0.1
-    fixed_dt: Optional[float] = None  # fixed-step mode (convergence studies)
-    f_tol: float = 1e-12  # absorption threshold for "f reached zero"
-    equilibrium_slope_tol: float = 1e-9
-    jump_factor: float = 10.0  # gradient-norm ratio that flags a break
-    reversal_cos: float = -0.25  # gradient direction reversal flag
-    dissipation_rel: float = 0.25  # relative tolerance on predicted decrease
-    event_dt_floor: float = 1e-9
-    kink_kick: float = 1e-9  # displacement used to leave a descent kink
-    probe_delta: float = 1e-7
     policy: str = "positive-branch"  # see core.pick_branch
+    fixed_dt: Optional[float] = None  # fixed-step mode (convergence studies)
     max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
@@ -131,7 +133,7 @@ def _probe_direction(
     Returns the best descent rate and its direction, ties broken by the
     branch policy.
     """
-    delta = c.probe_delta * max(1.0, float(np.linalg.norm(x)))
+    delta = PROBE_DELTA * max(1.0, float(np.linalg.norm(x)))
     dirs = unit_directions(x.size, 16)
     rates = (fx - f.values(x + delta * dirs)) / delta
     best = rates.max()
@@ -145,7 +147,6 @@ def _step_checks(
     fx_new: float,
     g_new: Optional[np.ndarray],
     dt: float,
-    c: FlowControls,
 ) -> bool:
     if g_new is None:
         return False
@@ -154,15 +155,15 @@ def _step_checks(
     gn = float(np.linalg.norm(g))
     gn_new = float(np.linalg.norm(g_new))
     ratio = (gn_new + 1e-15) / (gn + 1e-15)
-    if max(ratio, 1.0 / ratio) > c.jump_factor:
+    if max(ratio, 1.0 / ratio) > JUMP_FACTOR:
         return False
     if gn > 0 and gn_new > 0:
         cosang = float(g @ g_new) / (gn * gn_new)
-        if cosang < c.reversal_cos:
+        if cosang < REVERSAL_COS:
             return False
     drop = fx - fx_new
     predicted = 0.5 * dt * (gn * gn + gn_new * gn_new)
-    if abs(drop - predicted) > c.dissipation_rel * max(drop, predicted) + 1e-12:
+    if abs(drop - predicted) > DISSIPATION_REL * max(drop, predicted) + 1e-12:
         return False
     return True
 
@@ -188,14 +189,13 @@ def _event_walk(
     fx: float,
     t: float,
     dt0: float,
-    c: FlowControls,
     t_end: float,
 ):
     """Advance with halving Euler steps after a rejected step.
 
     Either escapes (no obstruction inside the window: returns glue=None) or
     pins the obstruction between two points a gradient-flow step of size
-    ``event_dt_floor`` apart and returns the far side as the glue point.
+    ``EVENT_DT_FLOOR`` apart and returns the far side as the glue point.
     """
     dt_w = dt0
     advanced = 0.0
@@ -209,12 +209,12 @@ def _event_walk(
         x_try = x - dt_w * g
         fx_try = f.value(x_try)
         g_try = grad(x_try)
-        if _step_checks(fx, g, fx_try, g_try, dt_w, c):
+        if _step_checks(fx, g, fx_try, g_try, dt_w):
             t += dt_w
             advanced += dt_w
             x, fx, g = x_try, fx_try, g_try
             continue
-        if dt_w <= c.event_dt_floor:
+        if dt_w <= EVENT_DT_FLOOR:
             return t, x, fx, (x_try, fx_try, t + dt_w)
         dt_w *= 0.5
 
@@ -236,7 +236,7 @@ def integrate_maximal_slope(
     c = controls or FlowControls()
     x = as_point(x0)
     budget_mode = t_end is None or t_end == INF
-    horizon = c.budget if budget_mode else float(t_end)
+    horizon = BUDGET if budget_mode else float(t_end)
     if not (horizon > 0):
         raise ValueError("time horizon must be positive")
     grad = _gradient_fn(f)
@@ -269,7 +269,7 @@ def integrate_maximal_slope(
         raise ValueError("f(x0) must be finite")
     seg = 0
     record(t, x, fx, seg)
-    absorbed = fx <= c.f_tol
+    absorbed = fx <= F_TOL
     t_star: Optional[float] = 0.0 if absorbed else None
     equilibrium = False
     steps = 0
@@ -285,10 +285,10 @@ def integrate_maximal_slope(
         reuse_g = False
         if g is None or float(g @ g) <= 1e-26:
             rate, direction = _probe_direction(f, x, fx, c)
-            if rate <= c.equilibrium_slope_tol:
+            if rate <= EQUILIBRIUM_SLOPE_TOL:
                 equilibrium = True
                 break
-            kick = c.kink_kick * max(1.0, float(np.linalg.norm(x)))
+            kick = KINK_KICK * max(1.0, float(np.linalg.norm(x)))
             x = x + kick * direction
             fx = f.value(x)
             t += kick / rate
@@ -298,7 +298,7 @@ def integrate_maximal_slope(
         if c.fixed_dt is not None:
             dt = c.fixed_dt
         else:
-            dt = min(c.dt_max, c.safety * max(fx, c.f_tol) / gn2)
+            dt = min(DT_MAX, SAFETY * max(fx, F_TOL) / gn2)
         remaining = horizon - t
         # stretch the final step rather than leave a sliver of rounding size
         dt = remaining if remaining - dt < 0.5 * dt else min(dt, remaining)
@@ -307,13 +307,13 @@ def integrate_maximal_slope(
         if x_new is not None:
             fx_new = f.value(x_new)
             g_new = grad(x_new)
-            if _step_checks(fx, g, fx_new, g_new, dt, c):
+            if _step_checks(fx, g, fx_new, g_new, dt):
                 t += dt
                 x, fx, g = x_new, fx_new, g_new
                 record(t, x, fx, seg)
                 accepted = reuse_g = True
         if not accepted:
-            t, x, fx, glue = _event_walk(f, grad, x, fx, t, dt, c, horizon)
+            t, x, fx, glue = _event_walk(f, grad, x, fx, t, dt, horizon)
             record(t, x, fx, seg)
             if glue is not None:
                 x_glue, fx_glue, t_glue = glue
@@ -321,7 +321,7 @@ def integrate_maximal_slope(
                 boundaries.append(t_glue)
                 t, x, fx = t_glue, x_glue, fx_glue
                 record(t, x, fx, seg)
-        if fx <= c.f_tol:
+        if fx <= F_TOL:
             absorbed = True
             t_star = t
 
@@ -351,7 +351,7 @@ def integrate_maximal_slope(
         equilibrium=equilibrium,
         glued=len(boundaries) > 0,
         budget_mode=budget_mode,
-        f_tol=c.f_tol,
+        f_tol=F_TOL,
         diagnostics={"steps": steps, "policy": c.policy},
     )
 
@@ -777,8 +777,7 @@ def trajectory_from_csv(path) -> Trajectory:
     slopes = data[:, 2 + dim]
     speeds = data[:, 3 + dim]
     segs = data[:, 4 + dim].astype(int)
-    f_tol = 1e-12
-    below = np.nonzero(fsv <= f_tol)[0]
+    below = np.nonzero(fsv <= F_TOL)[0]
     seg_changes = np.nonzero(np.diff(segs) != 0)[0]
     return Trajectory(
         ts=ts,
@@ -796,6 +795,6 @@ def trajectory_from_csv(path) -> Trajectory:
         equilibrium=False,
         glued=bool(seg_changes.size),
         budget_mode=False,
-        f_tol=f_tol,
+        f_tol=F_TOL,
         diagnostics={"source": "csv"},
     )

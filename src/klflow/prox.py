@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -36,21 +37,23 @@ from .slope import descending_slope
 from .theta import AuxiliaryFunctions, ParameterFunction
 
 
+BOX_SLACK = 1e-6  #: relative widening of the box that holds every minimiser
+NEWTON_ITERS = 3  #: guarded Newton steps polishing a 1-d minimiser
+OBJECTIVE_TIE_TOL = 1e-10  #: relative objective gap of tied minimisers
+POINT_TIE_TOL = 1e-9  #: relative distance under which two minimisers are one
+N_STARTS = 32  #: multistart count for dimension > 1
+DE_GIORGI_PANELS = 20  #: dyadic Gauss-Legendre panels of the De Giorgi integral
+DE_GIORGI_GRID = 257  #: n_grid of each resolvent inside that integral
+
+
 @dataclass
 class ProxControls:
     n_grid: int = 1025
-    newton_iters: int = 3
-    objective_tie_tol: float = 1e-10
-    point_tie_tol: float = 1e-9
     policy: str = "smallest-distance"  # see core.pick_branch
     stop_f_tol: float = 1e-14
     stall_tol: float = 1e-14
     max_steps: int = 10_000
     compute_de_giorgi: bool = False
-    de_giorgi_panels: int = 20
-    de_giorgi_grid: int = 257
-    box_slack: float = 1e-6
-    n_starts: int = 32  # multistart count for dimension > 1
 
     def __post_init__(self) -> None:
         check_policy(self.policy, PROX_POLICIES)
@@ -168,7 +171,7 @@ def _golden_section(
 
 
 def _newton_polish(
-    f: Functional, x: np.ndarray, tau: float, z: float, lo: float, hi: float, iters: int
+    f: Functional, x: np.ndarray, tau: float, z: float, lo: float, hi: float
 ) -> Tuple[float, bool]:
     """Guarded Newton on phi'(z) = f'(z) + (z - x)/tau, 1-d only.
 
@@ -183,7 +186,7 @@ def _newton_polish(
     phi = _phi(f, x, tau)
     h = 1e-7 * max(1.0, abs(z))
     psi = math.inf
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         g = f.gradient(np.array([z]))
         if g is None:
             return z, False
@@ -210,6 +213,22 @@ def _newton_polish(
     return z, abs(psi) <= psi_tol
 
 
+def _tied_minimisers(ranked: List[Tuple[float, np.ndarray]]):
+    """Best value of ``ranked`` (sorted by value), distinct tied points sorted."""
+    best = ranked[0][0]
+    points: List[np.ndarray] = []
+    for val, z in ranked:
+        if val > best + OBJECTIVE_TIE_TOL * (1.0 + abs(best)):
+            continue
+        if all(
+            np.linalg.norm(z - w) > POINT_TIE_TOL * (1.0 + np.linalg.norm(z))
+            for w in points
+        ):
+            points.append(z)
+    points.sort(key=tuple)
+    return best, points
+
+
 def resolvent(
     f: Functional, x, tau: float, controls: Optional[ProxControls] = None
 ) -> ResolventResult:
@@ -225,7 +244,7 @@ def resolvent(
     phi = _phi(f, x, tau)
     if fx == 0.0:
         return ResolventResult([x.copy()], 0.0, [0.0], True, n_evals[0])
-    radius = math.sqrt(2.0 * tau * fx) * (1.0 + c.box_slack)
+    radius = math.sqrt(2.0 * tau * fx) * (1.0 + BOX_SLACK)
 
     if x.size == 1:
         xval = float(x[0])
@@ -251,9 +270,7 @@ def resolvent(
             res = minimize_scalar(
                 phi1, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
             )
-            z, stationary = _newton_polish(
-                f, x, tau, float(res.x), lo, hi, c.newton_iters
-            )
+            z, stationary = _newton_polish(f, x, tau, float(res.x), lo, hi)
             if not stationary:
                 # bracketed solvers stop at a relative width near sqrt(eps),
                 # which leaves minimisers at kinks (where Newton has no
@@ -264,21 +281,13 @@ def resolvent(
                     z = zm
             refined.append((phi1(z), z))
         refined.sort()
-        best = refined[0][0]
-        keep: List[float] = []
-        for val, z in refined:
-            if val > best + c.objective_tie_tol * (1.0 + abs(best)):
-                continue
-            if all(abs(z - w) > c.point_tie_tol * (1.0 + abs(z)) for w in keep):
-                keep.append(z)
-        keep.sort()
-        points = [np.array([z]) for z in keep]
+        best, points = _tied_minimisers([(val, np.array([z])) for val, z in refined])
         return ResolventResult(
             points, float(best), [f.value(p) for p in points], True, n_evals[0]
         )
 
     # dimension > 1: multistart local minimisation inside the box
-    starts = [x.copy()] + list(ball_sample(x, radius, c.n_starts))
+    starts = [x.copy()] + list(ball_sample(x, radius, N_STARTS))
     found: List[Tuple[float, np.ndarray]] = []
     for s in starts:
         if f.smooth_gradient is not None and f.gradient(s) is not None:
@@ -287,17 +296,7 @@ def resolvent(
             res = minimize(phi, s, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})
         found.append((float(res.fun), np.asarray(res.x, dtype=float)))
     found.sort(key=lambda p: p[0])
-    best = found[0][0]
-    points = []
-    for val, z in found:
-        if val > best + c.objective_tie_tol * (1.0 + abs(best)):
-            continue
-        if all(
-            np.linalg.norm(z - w) > c.point_tie_tol * (1.0 + np.linalg.norm(z))
-            for w in points
-        ):
-            points.append(z)
-    points.sort(key=lambda p: tuple(p))
+    best, points = _tied_minimisers(found)
     return ResolventResult(
         points, best, [f.value(p) for p in points], False, n_evals[0]
     )
@@ -307,25 +306,41 @@ def resolvent(
 # sequence
 
 
+def _step_size(tau) -> float:
+    """``tau`` as a float; anything but a positive finite real number is an error."""
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0.0 < tau < INF:
+        raise ValueError(f"tau must be a positive finite number, got {tau!r}")
+    return float(tau)
+
+
 def tau_schedule(
     tau: Union[float, Sequence[float]], n_steps: Optional[int], max_steps: int
 ) -> List[float]:
     """The per-step taus of a prox run: a scalar tau repeated ``n_steps``
-    times, or a list whose length ``n_steps`` (if given) must match.
+    times, or a non-empty list whose length ``n_steps`` (if given) must match.
 
-    A schedule longer than ``max_steps`` is rejected before it is built.
+    Each tau must be a positive finite number and ``n_steps`` a positive
+    integer; strings and bools are rejected, not converted.  A schedule
+    longer than ``max_steps`` is rejected before it is built.
     """
-    scalar = np.isscalar(tau) or isinstance(tau, float)
+    if n_steps is not None and (
+        isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
+        or n_steps < 1
+    ):
+        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
+    scalar = np.isscalar(tau)
     if scalar and n_steps is None:
         raise ValueError("n_steps required with scalar tau")
     length = int(n_steps) if scalar else len(tau)
+    if length == 0:
+        raise ValueError("the tau schedule is empty")
     if not scalar and n_steps is not None and n_steps != length:
         raise ValueError("n_steps disagrees with the tau schedule length")
     if length > max_steps:
         raise ValueError(
             f"the schedule has {length} steps, more than max_steps={max_steps}"
         )
-    return [float(tau)] * length if scalar else [float(t) for t in tau]
+    return [_step_size(tau)] * length if scalar else [_step_size(t) for t in tau]
 
 
 def run_prox_sequence(
@@ -466,12 +481,7 @@ def de_giorgi_residual(
     innermost panel's value.
     """
     c = controls or ProxControls()
-    inner = ProxControls(
-        n_grid=c.de_giorgi_grid,
-        policy=c.policy,
-        newton_iters=c.newton_iters,
-        box_slack=c.box_slack,
-    )
+    inner = ProxControls(n_grid=DE_GIORGI_GRID, policy=c.policy)
     x = as_point(x)
     fx = f.value(x)
     if fx == 0.0:
@@ -489,7 +499,7 @@ def de_giorgi_residual(
     nodes, weights = np.polynomial.legendre.leggauss(8)
     integral = 0.0
     panel_val = 0.0
-    for j in range(c.de_giorgi_panels):
+    for j in range(DE_GIORGI_PANELS):
         lo = tau * 2.0 ** (-(j + 1))
         hi = tau * 2.0 ** (-j)
         mid = 0.5 * (lo + hi)

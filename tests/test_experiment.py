@@ -306,6 +306,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     seeded.write_text(yaml.safe_dump(dict(FLOW_CFG, seed=0)))
     assert cli_main(["run", str(seeded), "--output", str(tmp_path / "o3")]) == 2
     assert "unknown config keys: ['seed']" in capsys.readouterr().err
+    # a negative step count used to run zero steps and pass
+    no_steps = tmp_path / "no-steps.yaml"
+    no_steps.write_text(yaml.safe_dump(dict(PROX_CFG, n_steps=-3)))
+    assert cli_main(["run", str(no_steps), "--output", str(tmp_path / "o4")]) == 2
+    assert "n_steps must be a positive integer, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "o4").exists()
+    # integrator tolerances are module constants, not config keys
+    knob = tmp_path / "knob.yaml"
+    knob.write_text(yaml.safe_dump(dict(FLOW_CFG, flow_controls={"dt_max": 0.5})))
+    assert cli_main(["run", str(knob), "--output", str(tmp_path / "o5")]) == 2
+    assert (
+        "unknown flow_controls keys: ['dt_max']; "
+        "valid keys: ['policy', 'fixed_dt', 'max_steps']"
+    ) in capsys.readouterr().err
 
 
 def test_prox_schedule_longer_than_max_steps_exits_2(tmp_path, capsys):
@@ -337,6 +351,11 @@ def test_suite_checks_prox_schedules_before_any_run(tmp_path, capsys):
     assert len(ExperimentConfig.from_dict(dict(base, variants=[{"n_steps": 5}])).expand()) == 1
     with pytest.raises(ValueError, match="6 steps, more than max_steps=5"):
         ExperimentConfig.from_dict(dict(base, variants=[{"n_steps": 6}])).expand()
+    # a bad step size is a schedule error too
+    manifest.write_text(yaml.safe_dump([dict(FLOW_CFG, id="a-flow"), dict(PROX_CFG, tau=-0.1)]))
+    assert cli_main(["suite", str(manifest), "--output", str(out)]) == 2
+    assert "tau must be a positive finite number, got -0.1" in capsys.readouterr().err
+    assert not (out / "a-flow").exists() and not (out / "suite_report.json").exists()
 
 
 def test_unknown_policy_fails_at_load_and_cli_exits_2(tmp_path, capsys):

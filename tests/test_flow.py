@@ -9,6 +9,7 @@ import pytest
 from klflow import resolve_entry
 from klflow.core import pick_branch
 from klflow.flow import (
+    PROBE_DELTA,
     FlowControls,
     _probe_direction,
     certify_power_family,
@@ -243,7 +244,7 @@ def reference_verify_ede(traj, f):
 
 
 def reference_probe_direction(f, x, fx, c):
-    delta = c.probe_delta * max(1.0, float(np.linalg.norm(x)))
+    delta = PROBE_DELTA * max(1.0, float(np.linalg.norm(x)))
     dirs = unit_directions(x.size, 16)
     rates = []
     for d in dirs:

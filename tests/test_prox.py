@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -435,3 +436,37 @@ def test_max_steps_rejects_a_longer_schedule(monkeypatch):
     monkeypatch.undo()
     seq = run_prox_sequence(e.functional, np.array([1.0]), 0.5, n_steps=5, controls=controls)
     assert seq.taus.size == 5
+
+
+@pytest.mark.parametrize(
+    "tau, n_steps, match",
+    [
+        (-0.1, 5, "tau must be a positive finite number, got -0.1"),
+        (0.0, 5, "tau must be a positive finite number, got 0.0"),
+        (math.nan, 5, "tau must be a positive finite number, got nan"),
+        (math.inf, 5, "tau must be a positive finite number, got inf"),
+        ([0.5, -0.1], None, "tau must be a positive finite number, got -0.1"),
+        ([0.5, 0.0], 2, "tau must be a positive finite number, got 0.0"),
+        ([0.5, math.nan], None, "tau must be a positive finite number, got nan"),
+        ([math.inf, 0.5], None, "tau must be a positive finite number, got inf"),
+        ("0.1", 5, "tau must be a positive finite number, got '0.1'"),
+        (True, 5, "tau must be a positive finite number, got True"),
+        ([0.5, "0.1"], None, "tau must be a positive finite number, got '0.1'"),
+        (0.5, -3, "n_steps must be a positive integer, got -3"),
+        (0.5, 0, "n_steps must be a positive integer, got 0"),
+        (0.5, 5.7, "n_steps must be a positive integer, got 5.7"),
+        ([0.5] * 5, 5.0, "n_steps must be a positive integer, got 5.0"),
+        (0.5, True, "n_steps must be a positive integer, got True"),
+        ([], None, "the tau schedule is empty"),
+    ],
+)
+def test_bad_schedules_are_rejected_before_any_step(monkeypatch, tau, n_steps, match):
+    import klflow.prox
+
+    def no_resolvent(*args, **kwargs):
+        raise AssertionError("resolvent called before the schedule was checked")
+
+    monkeypatch.setattr(klflow.prox, "resolvent", no_resolvent)
+    e = resolve_entry("quadratic?lambda=1")
+    with pytest.raises(ValueError, match=re.escape(match)):
+        run_prox_sequence(e.functional, np.array([1.0]), tau, n_steps=n_steps)
