@@ -3,12 +3,13 @@
 Points are plain 1-D float arrays.  Objectives take values in [0, +inf];
 ``math.inf`` marks points outside the effective domain and compares greater
 than every finite value, which is all the extended arithmetic we need.  The
-module also holds what every layer shares: the branch policies, the dense
-scan, and the JSON and CSV output formats.
+module also holds what every layer shares: the branch policies, the checks
+of numeric settings, the dense scan, and the JSON and CSV output formats.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -26,6 +27,34 @@ def check_policy(policy: str, valid: Tuple[str, ...]) -> None:
         raise ValueError(
             f"unknown policy {policy!r}; valid policies: {', '.join(valid)}"
         )
+
+
+def check_int(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; anything but an integer >= ``least`` is an error.
+
+    Bools, floats and strings are rejected, not converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        need = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value, positive: bool = True) -> float:
+    """``value`` as a float; anything but a finite real number that is
+    positive (nonnegative with ``positive=False``) is an error.
+
+    Bools and strings are rejected, not converted.
+    """
+    ok = (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and (0.0 < value < INF if positive else 0.0 <= value < INF)
+    )
+    if not ok:
+        need = "a positive finite number" if positive else "a finite number >= 0"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+    return float(value)
 
 
 def pick_branch(candidates: Sequence, policy: str, x=None):
@@ -137,6 +166,11 @@ class Functional:
     form of ``value``: it maps an (m, dim) array of points to their m values
     and must agree with ``value`` bit for bit, because the dense scans that
     use it select candidates by exact comparisons.
+
+    ``convexity`` is an optional convexity modulus lambda: f(z) - lambda/2
+    |z|^2 is convex.  Set it only where a closed form proves it.  When
+    lambda + 1/tau > 0 the resolvent objective is strongly convex, so the
+    n-d resolvent can certify a single local solve (``klflow.prox``).
     """
 
     label: str
@@ -145,6 +179,7 @@ class Functional:
     analytic_slope: Optional[Callable[[np.ndarray], float]] = None
     smooth_gradient: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
     batch_value: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    convexity: Optional[float] = None
 
     def __call__(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))

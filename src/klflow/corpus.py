@@ -1,9 +1,10 @@
 """Benchmark functionals with exact oracles, addressable by string id.
 
 Each entry bundles a Functional with whatever closed forms exist for it:
-exact slope, smooth gradient (None at kinks), gradient-flow trajectory,
-resolvent, the admissible-set infimum alpha, and a matched parameter
-function + radius for the anchored slope condition.  Ids look like
+exact slope, smooth gradient (None at kinks), convexity modulus (only
+where the closed form proves one), gradient-flow trajectory, resolvent,
+the admissible-set infimum alpha, and a matched parameter function +
+radius for the anchored slope condition.  Ids look like
 ``double-well?lambda=1&a=1``; see ``list_corpus``.
 """
 from __future__ import annotations
@@ -110,6 +111,7 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
             backend=backend,
             analytic_slope=slope,
             smooth_gradient=gradient,
+            convexity=lam,
         ),
         provenance=f"quadratic lam={lam} center={c.tolist()}",
         analytic_trajectory=trajectory,
@@ -516,6 +518,9 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
             backend=backend,
             analytic_slope=slope,
             smooth_gradient=gradient,
+            # d^p is convex for p >= 1; at p = 2 it is the quadratic
+            # scale * d^2, whose modulus is 2 scale
+            convexity=2.0 * scale if p == 2.0 else 0.0,
         ),
         provenance=f"power-potential p={p} scale={scale} center={c.tolist()}",
         analytic_trajectory=trajectory,

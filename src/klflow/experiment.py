@@ -453,8 +453,8 @@ def _run_prox_mode(
                 (m["stationarity_margin"] for m in mono), default=math.inf
             ),
             "policy": seq.policy,
-            # steps whose resolvent came from multistart search (dimension
-            # > 1) rather than the exhaustive 1-d scan
+            # steps whose resolvent is not certified: an n-d multistart,
+            # used where no declared convexity modulus certifies one start
             "uncertified_steps": sum(not s.certified for s in seq.steps),
             "resolvent_evals": sum(s.n_evals for s in seq.steps),
         }

@@ -29,8 +29,8 @@ from .certificates import (
 )
 from .conditions import ConditionReport
 from .core import (
-    FLOW_POLICIES, INF, Functional, as_point, check_policy, pick_branch, row_norms,
-    write_csv,
+    FLOW_POLICIES, INF, Functional, as_point, check_int, check_policy, check_real,
+    pick_branch, row_norms, write_csv,
 )
 from .sampling import unit_directions
 from .theta import AuxiliaryFunctions, ParameterFunction
@@ -57,6 +57,9 @@ class FlowControls:
 
     def __post_init__(self) -> None:
         check_policy(self.policy, FLOW_POLICIES)
+        if self.fixed_dt is not None:
+            check_real("fixed_dt", self.fixed_dt)
+        check_int("max_steps", self.max_steps)
 
 
 @dataclass

@@ -4,7 +4,12 @@ The resolvent of f at x with step tau minimises phi(z) = f(z) + d(x,z)^2 /
 (2 tau).  Since f >= 0 on the benchmark corpus, any minimiser lies in the
 ball of radius sqrt(2 tau f(x)) around x, so in one dimension a dense scan
 of that interval followed by bracketed refinement is an exhaustive, certified
-solve; several dimensions fall back to multistart local optimisation.
+solve.  In several dimensions a functional that declares a convexity modulus
+lambda with mu = lambda + 1/tau > 0 makes phi mu-strongly convex: one local
+solve from x with the analytic gradient of phi is certified when
+|grad phi(z)| / mu, which bounds the distance from z to the unique minimiser
+(Ambrosio-Gigli-Savare, Ch. 4), is at most POINT_TIE_TOL (1 + |z|).  Every
+other n-d case runs an uncertified multistart local optimisation.
 
 The module also evaluates the De Giorgi variational-interpolation identity
 for a single step, per-step monotonicity/stationarity inequalities, the
@@ -17,20 +22,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import approx_fprime, brentq, minimize, minimize_scalar
 
 from .certificates import (
     DEFAULT_CERT_TOL, RateCertificate, certificate, skipped_certificate,
     theta_distance_margin,
 )
 from .core import (
-    INF, PROX_POLICIES, Functional, as_point, check_policy, dense_scan, pick_branch,
-    row_norms, write_csv,
+    INF, PROX_POLICIES, Functional, as_point, check_int, check_policy, check_real,
+    dense_scan, pick_branch, row_norms, write_csv,
 )
 from .sampling import ball_sample
 from .slope import descending_slope
@@ -57,6 +61,11 @@ class ProxControls:
 
     def __post_init__(self) -> None:
         check_policy(self.policy, PROX_POLICIES)
+        # fewer than 3 grid points leave no interior basin to refine
+        check_int("n_grid", self.n_grid, least=3)
+        check_int("max_steps", self.max_steps)
+        check_real("stop_f_tol", self.stop_f_tol, positive=False)
+        check_real("stall_tol", self.stall_tol, positive=False)
 
 
 @dataclass
@@ -64,7 +73,10 @@ class ResolventResult:
     points: List[np.ndarray]  # objective-tied minimisers, sorted
     objective: float
     f_values: List[float]
-    certified: bool  # True when found by exhaustive 1-d scan
+    # True when found by the exhaustive 1-d scan, or in several dimensions
+    # by a single start whose gradient bound places it within
+    # POINT_TIE_TOL (1 + |z|) of the unique minimiser of a strongly convex phi
+    certified: bool
     n_evals: int  # points at which the value oracle was evaluated
 
 
@@ -80,7 +92,7 @@ class ProxStep:
     slope_to: float
     n_candidates: int
     de_giorgi: float = math.nan
-    certified: bool = True  # resolvent found by exhaustive 1-d scan
+    certified: bool = True  # ResolventResult.certified of the step's resolvent
     n_evals: int = 0  # objective evaluations spent by the resolvent
 
 
@@ -123,6 +135,22 @@ def _phi_batch(f: Functional, xval: float, tau: float):
         return f.values(grid[:, None]) + (diff * diff) / (2.0 * tau)
 
     return phi
+
+
+def _phi_gradient(f: Functional, x: np.ndarray, tau: float, phi):
+    """grad phi(z) = grad f(z) + (z - x)/tau.
+
+    Where ``f.gradient`` is None (a kink), a forward difference of ``phi``
+    stands in, as scipy would use without a gradient.
+    """
+
+    def jac(z: np.ndarray) -> np.ndarray:
+        g = f.gradient(z)
+        if g is None:
+            return approx_fprime(z, phi)
+        return g + (z - x) / tau
+
+    return jac
 
 
 def _counted(f: Functional) -> Tuple[Functional, List[int]]:
@@ -286,12 +314,31 @@ def resolvent(
             points, float(best), [f.value(p) for p in points], True, n_evals[0]
         )
 
-    # dimension > 1: multistart local minimisation inside the box
+    jac = _phi_gradient(f, x, tau, phi) if f.smooth_gradient is not None else None
+    mu = None if f.convexity is None else f.convexity + 1.0 / tau
+    if jac is not None and mu is not None and mu > 0:
+        # phi is mu-strongly convex, so |grad phi(z)| / mu bounds the distance
+        # from z to the unique minimiser.  The stop rule asks for a max-norm
+        # gradient that makes this bound at most POINT_TIE_TOL.
+        gtol = POINT_TIE_TOL * mu / math.sqrt(x.size)
+        res = minimize(
+            phi, x, jac=jac, method="L-BFGS-B", options={"gtol": gtol, "ftol": 0.0}
+        )
+        z = np.asarray(res.x, dtype=float)
+        g = f.gradient(z)
+        if g is not None:
+            dist_bound = float(np.linalg.norm(g + (z - x) / tau)) / mu
+            if dist_bound <= POINT_TIE_TOL * (1.0 + float(np.linalg.norm(z))):
+                return ResolventResult(
+                    [z], float(res.fun), [f.value(z)], True, n_evals[0]
+                )
+
+    # otherwise: multistart local minimisation inside the box
     starts = [x.copy()] + list(ball_sample(x, radius, N_STARTS))
     found: List[Tuple[float, np.ndarray]] = []
     for s in starts:
-        if f.smooth_gradient is not None and f.gradient(s) is not None:
-            res = minimize(phi, s, method="L-BFGS-B")
+        if jac is not None and f.gradient(s) is not None:
+            res = minimize(phi, s, jac=jac, method="L-BFGS-B")
         else:
             res = minimize(phi, s, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})
         found.append((float(res.fun), np.asarray(res.x, dtype=float)))
@@ -306,13 +353,6 @@ def resolvent(
 # sequence
 
 
-def _step_size(tau) -> float:
-    """``tau`` as a float; anything but a positive finite real number is an error."""
-    if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0.0 < tau < INF:
-        raise ValueError(f"tau must be a positive finite number, got {tau!r}")
-    return float(tau)
-
-
 def tau_schedule(
     tau: Union[float, Sequence[float]], n_steps: Optional[int], max_steps: int
 ) -> List[float]:
@@ -323,11 +363,8 @@ def tau_schedule(
     integer; strings and bools are rejected, not converted.  A schedule
     longer than ``max_steps`` is rejected before it is built.
     """
-    if n_steps is not None and (
-        isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
-        or n_steps < 1
-    ):
-        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
+    if n_steps is not None:
+        check_int("n_steps", n_steps)
     scalar = np.isscalar(tau)
     if scalar and n_steps is None:
         raise ValueError("n_steps required with scalar tau")
@@ -340,7 +377,9 @@ def tau_schedule(
         raise ValueError(
             f"the schedule has {length} steps, more than max_steps={max_steps}"
         )
-    return [_step_size(tau)] * length if scalar else [_step_size(t) for t in tau]
+    if scalar:
+        return [check_real("tau", tau)] * length
+    return [check_real("tau", t) for t in tau]
 
 
 def run_prox_sequence(
@@ -721,6 +760,17 @@ def recursion_equality_sequence(params: RecursiveBoundParams, n: int) -> np.ndar
 # certificates along a prox sequence
 
 
+def _flag_uncertified(
+    seq: ProxSequence, certs: List[RateCertificate]
+) -> List[RateCertificate]:
+    """Record in each certificate how many of the sequence's steps rest on an
+    uncertified resolvent (``ProxStep.certified`` False)."""
+    uncertified = sum(not s.certified for s in seq.steps)
+    for cert in certs:
+        cert.details["uncertified_steps"] = uncertified
+    return certs
+
+
 def certify_rates_discrete(
     seq: ProxSequence,
     pf: ParameterFunction,
@@ -736,7 +786,9 @@ def certify_rates_discrete(
     theta(f_j), the tail bound d(y_k, y_last) <= theta(f_k), confinement in
     the anchor ball when (x0, r) are given, and with a ratio constant alpha
     the geometric bounds f_k <= prod (1 + alpha tau_i)^-1 f_0 and
-    d(y_k, y_last) <= r prod (1 + alpha tau_i)^-1/2.
+    d(y_k, y_last) <= r prod (1 + alpha tau_i)^-1/2.  Each certificate's
+    details record ``uncertified_steps``, the steps whose resolvent was not
+    certified.
     """
     fs = seq.fs
     pts = seq.points
@@ -796,7 +848,7 @@ def certify_rates_discrete(
                     {"alpha": float(alpha), "limit_proxy": "last iterate"},
                 )
             )
-    return certs
+    return _flag_uncertified(seq, certs)
 
 
 def certify_power_rates_discrete(
@@ -812,7 +864,9 @@ def certify_power_rates_discrete(
     linear bound f_k <= max(f_0 - k tau/c^2, 0).  gamma in (1/2, 1):
     geometric with rate (tau/c^2) f_0^(1-2 gamma), then doubly exponential.
     gamma = 1/2: plain geometric.  gamma < 1/2: polynomial.  All regimes
-    also get the distance tail d(y_k, y_last) <= theta(bound_k).
+    also get the distance tail d(y_k, y_last) <= theta(bound_k).  Each
+    certificate's details record ``uncertified_steps`` as in
+    ``certify_rates_discrete``.
     """
     c = float(c)
     gamma = float(gamma)
@@ -824,15 +878,20 @@ def certify_power_rates_discrete(
     t_star = float(seq.terminated_at) if seq.terminated_at is not None else float(n - 1)
     certs: List[RateCertificate] = []
     if seq.taus.size == 0:
-        return [skipped_certificate("discrete-power", t_star, tol, "empty sequence")]
+        return _flag_uncertified(
+            seq, [skipped_certificate("discrete-power", t_star, tol, "empty sequence")]
+        )
     tau = float(seq.taus[0])
     if not np.allclose(seq.taus, tau):
-        return [
-            skipped_certificate(
-                "discrete-power", t_star, tol,
-                "regime bounds assume a constant step size",
-            )
-        ]
+        return _flag_uncertified(
+            seq,
+            [
+                skipped_certificate(
+                    "discrete-power", t_star, tol,
+                    "regime bounds assume a constant step size",
+                )
+            ],
+        )
     alpha_rec = tau / (c * c)
     dlast = row_norms(seq.points - seq.points[-1])
 
@@ -922,7 +981,7 @@ def certify_power_rates_discrete(
             {"limit_proxy": "last iterate"},
         )
     )
-    return certs
+    return _flag_uncertified(seq, certs)
 
 
 def limit_diagnostics(seq: ProxSequence) -> dict:

@@ -214,7 +214,7 @@ def test_08_power_regime_sweep():
         (0.5, "quadratic?lambda=1", 0.75, 200, None,
          {"discrete-geometric", "discrete-distance-power"}),
         (0.75, "power-potential?p=1.3333333333333333", 0.8, 35,
-         ProxControls(stop_f_tol=-1.0, stall_tol=-1.0),
+         ProxControls(stop_f_tol=0.0, stall_tol=0.0),
          {"discrete-geometric", "discrete-doubly-exponential",
           "discrete-distance-power"}),
     )

@@ -322,6 +322,41 @@ def test_cli_exit_codes(tmp_path, capsys):
     ) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "base, key, controls, message",
+    [
+        # fixed_dt 0 or below used to run for minutes with every sample at t = 0
+        (FLOW_CFG, "flow_controls", {"fixed_dt": 0},
+         "fixed_dt must be a positive finite number, got 0"),
+        (FLOW_CFG, "flow_controls", {"fixed_dt": -0.1}, "got -0.1"),
+        (FLOW_CFG, "flow_controls", {"fixed_dt": float("nan")}, "got nan"),
+        (FLOW_CFG, "flow_controls", {"fixed_dt": "0.1"}, "got '0.1'"),
+        (FLOW_CFG, "flow_controls", {"fixed_dt": True}, "got True"),
+        # max_steps -1 used to take no step and pass
+        (FLOW_CFG, "flow_controls", {"max_steps": -1},
+         "max_steps must be a positive integer, got -1"),
+        (FLOW_CFG, "flow_controls", {"max_steps": 10.0}, "got 10.0"),
+        # n_grid 1 used to certify a wrong resolvent, n_grid 0 to crash in numpy
+        (PROX_CFG, "prox_controls", {"n_grid": 1}, "n_grid must be an integer >= 3, got 1"),
+        (PROX_CFG, "prox_controls", {"n_grid": 0}, "got 0"),
+        (PROX_CFG, "prox_controls", {"n_grid": 33.0}, "got 33.0"),
+        (PROX_CFG, "prox_controls", {"max_steps": 0},
+         "max_steps must be a positive integer, got 0"),
+        (PROX_CFG, "prox_controls", {"stop_f_tol": -1.0},
+         "stop_f_tol must be a finite number >= 0, got -1.0"),
+        (PROX_CFG, "prox_controls", {"stall_tol": float("inf")},
+         "stall_tol must be a finite number >= 0, got inf"),
+        (PROX_CFG, "prox_controls", {"stall_tol": float("nan")}, "got nan"),
+    ],
+)
+def test_bad_control_values_exit_2(tmp_path, capsys, base, key, controls, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(dict(base, **{key: controls})))
+    assert cli_main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_prox_schedule_longer_than_max_steps_exits_2(tmp_path, capsys):
     cfg = tmp_path / "long.yaml"
     cfg.write_text(
@@ -448,9 +483,25 @@ def test_prox_summary_reports_resolvent_facts(tmp_path):
         }
     )
     rep = run_experiment(two_d, output_root=tmp_path)
-    assert rep.prox_summary["uncertified_steps"] == 3
+    # the quadratic declares its convexity, so every 2-d step is certified
+    assert rep.prox_summary["uncertified_steps"] == 0
     header = (tmp_path / "q2d" / "sequence.csv").read_text().splitlines()[0]
     assert header == "k,x_1,x_2,f,dist_step,slope,de_giorgi_residual"
+    # the cone's resolvent from here is its kink, where no gradient certifies
+    # the single start, so both steps fall back to the multistart
+    cone = ExperimentConfig.from_dict(
+        {
+            "id": "cone2d",
+            "mode": "prox",
+            "functional": "power-potential?p=1&center=0,0",
+            "x0": [0.1, 0.05],
+            "tau": 0.5,
+            "n_steps": 2,
+        }
+    )
+    rep = run_experiment(cone, output_root=tmp_path)
+    assert rep.prox_summary["uncertified_steps"] == 2
+    assert {c["details"]["uncertified_steps"] for c in rep.certificates} == {2}
 
 
 def test_cli_suite_and_list(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,27 @@ def test_unknown_flow_policy_is_rejected():
     with pytest.raises(ValueError, match=valid):
         FlowControls(policy="smallest-distance")
     assert FlowControls(policy="lexicographic").policy == "lexicographic"
+
+
+@pytest.mark.parametrize(
+    "controls, message",
+    [
+        # fixed_dt 0 or below used to record every sample at t = 0
+        ({"fixed_dt": 0.0}, "fixed_dt must be a positive finite number, got 0.0"),
+        ({"fixed_dt": -0.1}, "fixed_dt must be a positive finite number, got -0.1"),
+        ({"fixed_dt": math.inf}, "fixed_dt must be a positive finite number, got inf"),
+        ({"fixed_dt": "0.1"}, "fixed_dt must be a positive finite number, got '0.1'"),
+        ({"fixed_dt": True}, "fixed_dt must be a positive finite number, got True"),
+        # max_steps -1 used to take no step and pass
+        ({"max_steps": -1}, "max_steps must be a positive integer, got -1"),
+        ({"max_steps": 0}, "max_steps must be a positive integer, got 0"),
+        ({"max_steps": 2.5}, "max_steps must be a positive integer, got 2.5"),
+    ],
+)
+def test_bad_flow_controls_are_rejected(controls, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FlowControls(**controls)
+    FlowControls(fixed_dt=0.01, max_steps=1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import klflow.prox
 from klflow import resolve_entry
 from klflow.core import pick_branch
+from klflow.corpus import make_power_potential, make_quadratic
 from klflow.prox import (
     ProxControls,
     certify_power_rates_discrete,
@@ -355,16 +357,8 @@ def test_ioffe_check_same_without_batch_oracle(entry_id, x, delta, v):
     assert got == ref
 
 
-@pytest.mark.parametrize(
-    "entry_id, x, expected",
-    [
-        ("quadratic?lambda=1", [1.0], 1043),  # 1025 grid points, 18 single calls
-        ("double-well", [0.0], 1060),  # two tied minimisers
-        ("quadratic?center=0,0", [1.0, 0.5], None),  # multistart branch
-    ],
-)
-def test_resolvent_counts_every_oracle_point(entry_id, x, expected):
-    f = resolve_entry(entry_id).functional
+def _count_points(f):
+    """``f`` with every point its value oracle sees counted in a one-item list."""
     seen = [0]
 
     def value(z):
@@ -375,11 +369,124 @@ def test_resolvent_counts_every_oracle_point(entry_id, x, expected):
         seen[0] += len(zs)
         return f.batch_value(zs)
 
-    counted = dataclasses.replace(f, value=value, batch_value=batch_value)
+    return dataclasses.replace(f, value=value, batch_value=batch_value), seen
+
+
+@pytest.mark.parametrize(
+    "entry_id, x, expected",
+    [
+        ("quadratic?lambda=1", [1.0], 1043),  # 1025 grid points, 18 single calls
+        ("double-well", [0.0], 1060),  # two tied minimisers
+        ("quadratic?center=0,0", [1.0, 0.5], None),  # multistart branch
+        # certified single start: f(x), 3 L-BFGS-B points, f(z)
+        ("quadratic?center=0,0", [1.0, 0.5], 5),
+    ],
+)
+def test_resolvent_counts_every_oracle_point(entry_id, x, expected):
+    f = resolve_entry(entry_id).functional
+    if expected is None:  # the multistart's count depends on its sampled starts
+        f = dataclasses.replace(f, convexity=None)
+    counted, seen = _count_points(f)
     res = resolvent(counted, np.array(x), 0.5)
     assert res.n_evals == seen[0]
     if expected is not None:
         assert res.n_evals == expected
+
+
+_COORDS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+
+
+@given(
+    quadratic=st.booleans(),
+    modulus=st.floats(0.01, 10.0),
+    dim=st.sampled_from([2, 3]),
+    center=_COORDS,
+    x=_COORDS,
+    tau=st.floats(0.01, 5.0),
+)
+def test_declared_convexity_certifies_one_start(quadratic, modulus, dim, center, x, tau):
+    # lam/2 d^2 declares lam; power-potential p=2 is scale d^2 and declares 2 scale
+    if quadratic:
+        entry = make_quadratic(modulus, center[:dim])
+    else:
+        entry = make_power_potential(2.0, modulus, center[:dim])
+    x = np.array(x[:dim])
+    res = resolvent(entry.functional, x, tau)
+    (z,) = res.points
+    (exact,) = entry.analytic_resolvent(x, tau)
+    assert res.certified
+    assert np.linalg.norm(z - exact) <= 1e-12 * (1.0 + np.linalg.norm(z))
+
+
+@pytest.mark.parametrize("p", ["1", "3", "4"])
+def test_convex_power_potential_certifies_one_start(monkeypatch, p):
+    # convexity 0 gives mu = 1/tau: the certificate bounds the error by 1e-9 (1 + |z|)
+    e = resolve_entry(f"power-potential?p={p}&center=0,0")
+    x = np.array([1.0, 0.5])
+    calls = _count_multistarts(monkeypatch)
+    res = resolvent(e.functional, x, 0.5)
+    (z,) = res.points
+    (exact,) = e.analytic_resolvent(x, 0.5)
+    assert res.certified and not calls
+    assert np.linalg.norm(z - exact) <= 1e-9 * (1.0 + np.linalg.norm(z))
+
+
+def _count_multistarts(monkeypatch):
+    """Record each multistart, which draws its starts through ``ball_sample``."""
+    calls = []
+    original = klflow.prox.ball_sample
+
+    def ball_sample(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(klflow.prox, "ball_sample", ball_sample)
+    return calls
+
+
+def test_undeclared_convexity_takes_the_multistart(monkeypatch):
+    f = resolve_entry("quadratic?center=0,0").functional
+    undeclared = dataclasses.replace(f, convexity=None)
+    calls = _count_multistarts(monkeypatch)
+    res = resolvent(undeclared, np.array([1.0, 0.5]), 0.5)
+    assert len(calls) == 1 and not res.certified
+    assert np.linalg.norm(res.points[0] - [2.0 / 3.0, 1.0 / 3.0]) < 1e-9
+    certified = resolvent(f, np.array([1.0, 0.5]), 0.5)
+    assert len(calls) == 1 and certified.certified
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [0.1, 0.05],
+        [0.5, 0.0],  # a line search lands exactly on the kink, where phi has no gradient
+    ],
+)
+def test_kink_resolvent_falls_back_to_the_multistart(monkeypatch, x):
+    e = resolve_entry("power-potential?p=1&center=0,0")
+    x = np.array(x)  # |x| <= tau, so the soft threshold lands on the centre
+    assert e.analytic_resolvent(x, 0.5)[0].tolist() == [0.0, 0.0]
+    assert e.functional.gradient(np.zeros(2)) is None
+    counted, seen = _count_points(e.functional)
+    calls = _count_multistarts(monkeypatch)
+    res = resolvent(counted, x, 0.5)
+    assert len(calls) == 1 and not res.certified
+    assert res.n_evals == seen[0]
+    assert np.linalg.norm(res.points[0]) < 1e-9
+
+
+def test_q2d_prox_rests_on_certified_resolvents():
+    e = resolve_entry("quadratic?lambda=1&center=0,0")
+    x0 = np.array([1.0, 0.5])
+    seq = run_prox_sequence(e.functional, x0, 0.5, n_steps=20)
+    assert all(s.certified for s in seq.steps)
+    for prev, z in zip(seq.points, seq.points[1:]):
+        (exact,) = e.analytic_resolvent(prev, 0.5)
+        assert np.linalg.norm(z - exact) <= 1e-12 * (1.0 + np.linalg.norm(z))
+    pf, r = e.condition_data(x0)
+    certs = certify_rates_discrete(seq, pf, auxiliary_functions(pf), x0=x0, r=r)
+    certs += certify_power_rates_discrete(seq, pf.c, pf.gamma, r=r)
+    assert {c.details["uncertified_steps"] for c in certs} == {0}
 
 
 def test_prox_steps_carry_resolvent_facts():
@@ -392,8 +499,28 @@ def test_prox_steps_carry_resolvent_facts():
         assert s.n_evals == res.n_evals > ProxControls().n_grid
     e2 = resolve_entry("quadratic?center=0,0")
     seq2 = run_prox_sequence(e2.functional, np.array([1.0, 0.5]), 0.5, n_steps=2)
-    assert [s.certified for s in seq2.steps] == [False, False]
+    assert [s.certified for s in seq2.steps] == [True, True]  # declared convexity
     assert all(s.n_evals > 0 for s in seq2.steps)
+
+
+@pytest.mark.parametrize(
+    "controls, message",
+    [
+        # one grid point used to certify 0.29289 where the resolvent is 2/3
+        ({"n_grid": 1}, "n_grid must be an integer >= 3, got 1"),
+        ({"n_grid": 0}, "n_grid must be an integer >= 3, got 0"),
+        ({"n_grid": 2}, "n_grid must be an integer >= 3, got 2"),
+        ({"max_steps": 0}, "max_steps must be a positive integer, got 0"),
+        ({"max_steps": "5"}, "max_steps must be a positive integer, got '5'"),
+        ({"stop_f_tol": -1.0}, "stop_f_tol must be a finite number >= 0, got -1.0"),
+        ({"stall_tol": math.inf}, "stall_tol must be a finite number >= 0, got inf"),
+        ({"stall_tol": True}, "stall_tol must be a finite number >= 0, got True"),
+    ],
+)
+def test_bad_prox_controls_are_rejected(controls, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProxControls(**controls)
+    ProxControls(n_grid=3, stop_f_tol=0, stall_tol=0.0, max_steps=1)
 
 
 def test_unknown_policy_is_rejected():
