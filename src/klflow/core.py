@@ -19,6 +19,7 @@ INF = math.inf
 
 FLOW_POLICIES = ("positive-branch", "negative-branch", "lexicographic")
 PROX_POLICIES = ("smallest-distance", *FLOW_POLICIES)
+DISTANCE_TIE_TOL = 1e-12  #: relative gap under which two distances tie in pick_branch
 
 
 def check_policy(policy: str, valid: Tuple[str, ...]) -> None:
@@ -64,16 +65,17 @@ def pick_branch(candidates: Sequence, policy: str, x=None):
     ``positive-branch`` takes the lexicographically largest,
     ``negative-branch`` the smallest, and ``lexicographic`` is an alias of
     ``negative-branch``.  ``smallest-distance`` takes the candidate nearest
-    to ``x``, distance ties going to the smallest coordinates.
+    to ``x``, distance ties going to the smallest coordinates; distances
+    within ``DISTANCE_TIE_TOL`` (relative) tie, so that rounding in two
+    computed minimisers does not break a tie that is exact in the problem.
     """
     check_policy(policy, PROX_POLICIES)
     if len(candidates) == 1:
         return candidates[0]
     if policy == "smallest-distance":
-        return min(
-            candidates,
-            key=lambda z: (float(np.linalg.norm(np.asarray(z) - x)), tuple(z)),
-        )
+        dists = [float(np.linalg.norm(np.asarray(z) - x)) for z in candidates]
+        near = min(dists) * (1.0 + DISTANCE_TIE_TOL)
+        return min((z for z, d in zip(candidates, dists) if d <= near), key=tuple)
     if policy == "positive-branch":
         return max(candidates, key=tuple)
     return min(candidates, key=tuple)

@@ -4,7 +4,15 @@ The resolvent of f at x with step tau minimises phi(z) = f(z) + d(x,z)^2 /
 (2 tau).  Since f >= 0 on the benchmark corpus, any minimiser lies in the
 ball of radius sqrt(2 tau f(x)) around x, so in one dimension a dense scan
 of that interval followed by bracketed refinement is an exhaustive, certified
-solve.  In several dimensions a functional that declares a convexity modulus
+solve.  Each candidate bracket is refined by one root solve of phi'(z) =
+f'(z) + (z - x)/tau where it changes sign from - to + (across the bracket or
+one of its halves), which places a smooth or kink minimiser to about
+4 eps |z|, and otherwise by golden section on phi to about 1 ulp.  That value
+path pins kinks and jumps, but phi is flat to rounding over about
+sqrt(eps) |z| around a smooth minimum, so no value-only bracket places one
+closer than about 1e-8 relative.
+
+In several dimensions a functional that declares a convexity modulus
 lambda with mu = lambda + 1/tau > 0 makes phi mu-strongly convex: one local
 solve from x with the analytic gradient of phi is certified when
 |grad phi(z)| / mu, which bounds the distance from z to the unique minimiser
@@ -21,12 +29,13 @@ u_{k+1} + alpha u_{k+1}^delta <= u_k behind those bounds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import approx_fprime, brentq, minimize, minimize_scalar
+from scipy.optimize import approx_fprime, brentq, minimize
 
 from .certificates import (
     DEFAULT_CERT_TOL, RateCertificate, certificate, skipped_certificate,
@@ -42,7 +51,9 @@ from .theta import AuxiliaryFunctions, ParameterFunction
 
 
 BOX_SLACK = 1e-6  #: relative widening of the box that holds every minimiser
-NEWTON_ITERS = 3  #: guarded Newton steps polishing a 1-d minimiser
+EPS = float(np.finfo(float).eps)  #: double-precision machine epsilon
+ROOT_RTOL = 4.0 * EPS  #: relative tolerance of the 1-d root solve on phi' (scipy's floor)
+ROOT_XTOL = 1e-18  #: absolute tolerance of that root solve, for minimisers near 0
 OBJECTIVE_TIE_TOL = 1e-10  #: relative objective gap of tied minimisers
 POINT_TIE_TOL = 1e-9  #: relative distance under which two minimisers are one
 N_STARTS = 32  #: multistart count for dimension > 1
@@ -72,7 +83,7 @@ class ProxControls:
 class ResolventResult:
     points: List[np.ndarray]  # objective-tied minimisers, sorted
     objective: float
-    f_values: List[float]
+    f_values: List[float]  # f.value at each point, as the oracle returned it
     # True when found by the exhaustive 1-d scan, or in several dimensions
     # by a single start whose gradient bound places it within
     # POINT_TIE_TOL (1 + |z|) of the unique minimiser of a strongly convex phi
@@ -168,25 +179,21 @@ def _counted(f: Functional) -> Tuple[Functional, List[int]]:
     return dataclasses.replace(f, value=value, batch_value=batch_value), count
 
 
-def _golden_section(
-    fun, lo: float, hi: float, tol: float, max_steps: float = math.inf
-) -> Tuple[float, float, float]:
+def _golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float, float]:
     """Golden-section search for a minimum of a unimodal ``fun`` on [lo, hi].
 
-    Shrinks the bracket until it is at most ``tol`` wide or ``max_steps``
-    steps were taken.  Returns the better of the two interior points and the
-    final bracket.  A maximum is found by minimising ``-fun``: negation is
-    exact, so the bracket sequence is that of a search on ``fun`` with both
-    comparisons flipped.
+    Shrinks the bracket until it is at most ``tol`` wide, which ends only if
+    ``tol`` is at least the float spacing at max(|lo|, |hi|).  Returns the
+    better of the two interior points and the final bracket.  A maximum is
+    found by minimising ``-fun``: negation is exact, so the bracket sequence
+    is that of a search on ``fun`` with both comparisons flipped.
     """
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c1 = b - ratio * (b - a)
     c2 = a + ratio * (b - a)
     f1, f2 = fun(c1), fun(c2)
-    steps = 0
-    while b - a > tol and steps < max_steps:
-        steps += 1
+    while b - a > tol:
         if f1 > f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + ratio * (b - a)
@@ -198,47 +205,56 @@ def _golden_section(
     return (c1 if f1 <= f2 else c2), a, b
 
 
-def _newton_polish(
-    f: Functional, x: np.ndarray, tau: float, z: float, lo: float, hi: float
-) -> Tuple[float, bool]:
-    """Guarded Newton on phi'(z) = f'(z) + (z - x)/tau, 1-d only.
+class _NoGradient(Exception):
+    """A probe of phi' landed where f has no gradient."""
 
-    Returns the polished point and whether stationarity was certified; at a
-    kink minimiser there is no stationary point and the caller must fall
-    back to direct bracket shrinking.
+
+def _refine_1d(
+    f: Functional, xval: float, tau: float, grid: np.ndarray, vals: np.ndarray, cand: List[int]
+) -> Tuple[List[Tuple[float, float]], Dict[float, float]]:
+    """Refine each candidate bracket [grid[i-1], grid[i+1]] of the 1-d scan
+    (see the module docstring).  A root is kept if phi there is no worse than
+    at grid[i] up to one rounding: a root at a jump of f can be worse.
+    Returns (phi(z), z) per candidate and f at each refined z; no point is
+    evaluated twice.
     """
-    psi_tol = 1e-9 * (1.0 + 1.0 / tau) * max(1.0, abs(z))
-    if f.smooth_gradient is None:
-        return z, False
-    xval = float(x[0])
-    phi = _phi(f, x, tau)
-    h = 1e-7 * max(1.0, abs(z))
-    psi = math.inf
-    for _ in range(NEWTON_ITERS):
+    f_at: Dict[float, float] = {}
+
+    def phi(z: float) -> float:
+        if z not in f_at:
+            f_at[z] = f.value(np.array([z]))
+        return f_at[z] + (z - xval) * (z - xval) / (2.0 * tau)
+
+    @functools.cache  # brentq probes the bracket ends again
+    def psi(z: float) -> float:
         g = f.gradient(np.array([z]))
         if g is None:
-            return z, False
-        psi = float(g[0]) + (z - xval) / tau
-        gp = f.gradient(np.array([z + h]))
-        gm = f.gradient(np.array([z - h]))
-        if gp is None or gm is None:
-            return z, False
-        dpsi = (float(gp[0]) - float(gm[0])) / (2.0 * h) + 1.0 / tau
-        if not np.isfinite(dpsi) or dpsi <= 0:
-            return z, abs(psi) <= psi_tol
-        z_new = min(max(z - psi / dpsi, lo), hi)
-        # allow one rounding ulp uphill: near the minimum phi is flat to
-        # machine precision while the stationarity residual still improves
-        if phi(np.array([z_new])) <= phi(np.array([z])) + 4e-16 * (
-            1.0 + abs(phi(np.array([z])))
-        ):
-            z = z_new
-        else:
-            break
-    g = f.gradient(np.array([z]))
-    if g is not None:
-        psi = float(g[0]) + (z - xval) / tau
-    return z, abs(psi) <= psi_tol
+            raise _NoGradient
+        return float(g[0]) + (z - xval) / tau
+
+    refined = []
+    for i in cand:
+        lo, mid, hi = grid[max(i - 1, 0)], grid[i], grid[min(i + 1, grid.size - 1)]
+        z = None
+        try:
+            # the whole bracket first; a kink between grid[i] and an end can
+            # hide the sign change there, so the halves are tried next
+            for a, b in ((lo, hi), (lo, mid), (mid, hi)):
+                if psi(a) < 0.0 < psi(b):
+                    root, info = brentq(
+                        psi, a, b, xtol=ROOT_XTOL, rtol=ROOT_RTOL, full_output=True, disp=False
+                    )
+                    # a jump of psi in a wide bracket can outlast brentq's 100 steps
+                    z = root if info.converged else None
+                    break
+        except _NoGradient:
+            pass
+        if z is not None and phi(z) > vals[i] + 4e-16 * (1.0 + abs(vals[i])):
+            z = None
+        if z is None:
+            z, _, _ = _golden_section(phi, lo, hi, 2.0 * EPS * max(1.0, abs(lo), abs(hi)))
+        refined.append((phi(z), z))
+    return refined, f_at
 
 
 def _tied_minimisers(ranked: List[Tuple[float, np.ndarray]]):
@@ -276,10 +292,6 @@ def resolvent(
 
     if x.size == 1:
         xval = float(x[0])
-
-        def phi1(z: float) -> float:
-            return phi(np.array([z]))
-
         scan = dense_scan(
             _phi_batch(f, xval, tau), xval - radius, xval + radius, c.n_grid
         )
@@ -288,30 +300,11 @@ def resolvent(
         cand = [
             i for i in scan.basins if vals[i] <= best_grid + 1e-6 * (1.0 + abs(best_grid))
         ]
-        refined: List[Tuple[float, float]] = []
-        for i in cand:
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, c.n_grid - 1)]
-            if hi - lo <= 0:
-                refined.append((vals[i], grid[i]))
-                continue
-            res = minimize_scalar(
-                phi1, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
-            )
-            z, stationary = _newton_polish(f, x, tau, float(res.x), lo, hi)
-            if not stationary:
-                # bracketed solvers stop at a relative width near sqrt(eps),
-                # which leaves minimisers at kinks (where Newton has no
-                # stationary point to find) about 1e-13 off; up to 130 more
-                # golden steps cost little and pin them to full precision
-                zm, _, _ = _golden_section(phi1, lo, hi, 1e-16 * max(1.0, abs(z)), 130)
-                if phi1(zm) <= phi1(z):
-                    z = zm
-            refined.append((phi1(z), z))
+        refined, f_at = _refine_1d(f, xval, tau, grid, vals, cand)
         refined.sort()
         best, points = _tied_minimisers([(val, np.array([z])) for val, z in refined])
         return ResolventResult(
-            points, float(best), [f.value(p) for p in points], True, n_evals[0]
+            points, float(best), [f_at[float(p[0])] for p in points], True, n_evals[0]
         )
 
     jac = _phi_gradient(f, x, tau, phi) if f.smooth_gradient is not None else None
@@ -351,6 +344,12 @@ def resolvent(
 
 # ---------------------------------------------------------------------------
 # sequence
+
+
+def _picked(res: ResolventResult, policy: str, x) -> Tuple[np.ndarray, float]:
+    """The minimiser ``policy`` picks from ``res``, with its f value from ``res``."""
+    z = pick_branch(res.points, policy, x)
+    return z, next(fz for p, fz in zip(res.points, res.f_values) if p is z)
 
 
 def tau_schedule(
@@ -407,8 +406,7 @@ def run_prox_sequence(
     else:
         for k, t in enumerate(taus):
             res = resolvent(f, x, t, c)
-            z = pick_branch(res.points, c.policy, x)
-            fz = f.value(z)
+            z, fz = _picked(res, c.policy, x)
             d = float(np.linalg.norm(z - x))
             sl = descending_slope(f, z).value
             dg = math.nan
@@ -575,9 +573,8 @@ def one_step_decay_check(
     """Margin of the conditioned one-step decay f(x) - f(z) >= tau/theta'(f(z))^2."""
     c = controls or ProxControls()
     x = as_point(x)
-    res = resolvent(f, x, tau, c)
-    z = pick_branch(res.points, c.policy, x)
-    fx, fz = f.value(x), f.value(z)
+    z, fz = _picked(resolvent(f, x, tau, c), c.policy, x)
+    fx = f.value(x)
     if fz > 0:
         rhs = tau / pf.theta_deriv(fz) ** 2
     else:

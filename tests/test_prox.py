@@ -358,15 +358,16 @@ def test_ioffe_check_same_without_batch_oracle(entry_id, x, delta, v):
 
 
 def _count_points(f):
-    """``f`` with every point its value oracle sees counted in a one-item list."""
-    seen = [0]
+    """``f`` with every point its value oracle sees recorded in a list, in
+    call order, as ``(coordinates, scalar_call)``."""
+    seen = []
 
     def value(z):
-        seen[0] += 1
+        seen.append((tuple(z), True))
         return f.value(z)
 
     def batch_value(zs):
-        seen[0] += len(zs)
+        seen.extend((tuple(z), False) for z in zs)
         return f.batch_value(zs)
 
     return dataclasses.replace(f, value=value, batch_value=batch_value), seen
@@ -375,8 +376,9 @@ def _count_points(f):
 @pytest.mark.parametrize(
     "entry_id, x, expected",
     [
-        ("quadratic?lambda=1", [1.0], 1043),  # 1025 grid points, 18 single calls
-        ("double-well", [0.0], 1060),  # two tied minimisers
+        # 1025 grid points, f(x), and f at the one root of phi'
+        ("quadratic?lambda=1", [1.0], 1027),
+        ("double-well", [0.0], 1028),  # two tied minimisers, one root each
         ("quadratic?center=0,0", [1.0, 0.5], None),  # multistart branch
         # certified single start: f(x), 3 L-BFGS-B points, f(z)
         ("quadratic?center=0,0", [1.0, 0.5], 5),
@@ -388,9 +390,107 @@ def test_resolvent_counts_every_oracle_point(entry_id, x, expected):
         f = dataclasses.replace(f, convexity=None)
     counted, seen = _count_points(f)
     res = resolvent(counted, np.array(x), 0.5)
-    assert res.n_evals == seen[0]
+    assert res.n_evals == len(seen)
     if expected is not None:
         assert res.n_evals == expected
+    if len(x) == 1:  # the 1-d refinement never evaluates a point twice
+        for k, (z, scalar) in enumerate(seen):
+            assert not scalar or z not in {w for w, _ in seen[:k]}
+
+
+def test_cone_sequence_terminates_on_the_kink():
+    # iterate 19 is 0.05 up to rounding, so the soft threshold puts iterate 20
+    # on the kink; a stop short of it used to leave 8.8e-11 and end at k = 21
+    cone = resolve_entry("power-potential?p=1")
+    seq = run_prox_sequence(cone.functional, np.array([1.0]), 0.05, n_steps=60)
+    assert seq.terminated_at == 20
+    for k, p in enumerate(seq.points):
+        z = float(p[0])
+        assert abs(z - max(1.0 - k * 0.05, 0.0)) <= 1e-12 * (1.0 + abs(z))
+
+
+# within OBJECTIVE_TIE_TOL of the double-well's ridge both wells tie by design,
+# while the closed form names one; x = 0 itself is kept
+_X_1D = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+
+
+@given(
+    entry_id=st.sampled_from(
+        [
+            "quadratic",
+            "double-well",
+            "power-potential?p=1",
+            "power-potential?p=2",
+            "power-potential?p=4",
+        ]
+    ),
+    policy=st.sampled_from(["smallest-distance", "positive-branch", "negative-branch"]),
+    x=_X_1D,
+    tau=st.floats(0.01, 3.0),
+)
+def test_1d_resolvent_matches_the_closed_form(entry_id, policy, x, tau):
+    e = resolve_entry(entry_id)
+    x = np.array([x])
+    res = resolvent(e.functional, x, tau, ProxControls(policy=policy))
+    z = pick_branch(res.points, policy, x)
+    exact = pick_branch(e.analytic_resolvent(x, tau), policy, x)
+    assert res.certified
+    assert abs(float(z[0] - exact[0])) <= 1e-14 * (1.0 + abs(float(z[0])))
+
+
+@pytest.mark.parametrize(
+    "entry_id, x, tau",
+    [
+        ("power-potential?p=1", 0.3, 0.5),  # soft threshold onto the kink
+        ("power-potential?p=1", -0.2, 0.3),  # the same from the left
+        ("power-potential?p=1", 1.0, 0.3),  # smooth minimiser 0.7
+        ("double-well", 0.3, 0.4),
+        ("double-well", 0.0, 0.5),  # two tied smooth minimisers
+    ],
+)
+def test_value_path_without_a_gradient(entry_id, x, tau):
+    # golden section pins a kink to about 1 ulp, but phi is flat to rounding
+    # over about sqrt(eps) |z| around a smooth minimum
+    e = resolve_entry(entry_id)
+    f = dataclasses.replace(e.functional, smooth_gradient=None)
+    res = resolvent(f, np.array([x]), tau)
+    exact = e.analytic_resolvent(np.array([x]), tau)
+    assert len(res.points) == len(exact)
+    for z, w in zip(res.points, exact):
+        w = float(w[0])
+        assert abs(float(z[0]) - w) <= (1e-7 * abs(w) if w else 1e-15)
+
+
+def test_a_kink_hiding_the_sign_change_takes_a_half_bracket():
+    # on the 3-point grid -0.824, -0.4, 0.024 the bracket's right end is past
+    # the ridge at 0, where phi' is negative again; the half [-0.824, -0.4]
+    # still changes sign, so the root solve, not golden section, places -0.6
+    e = resolve_entry("double-well")
+    res = resolvent(e.functional, np.array([-0.4]), 0.5, ProxControls(n_grid=3))
+    assert abs(float(res.points[0][0]) + 0.6) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "x, tau, n_grid",
+    [
+        # phi' = 1 + (z - x)/tau is negative on both sides of the jump at 1,
+        # so the bracket around it has no sign change
+        (1.05, 0.01, 1025),
+        # phi' changes sign at 1.0143 on the upper piece, but the jump makes
+        # phi there worse than at the grid point below 1: the root is refused
+        (1.4972589328394905, 0.4829148896072088, 33),
+    ],
+)
+def test_staircase_jump_takes_the_value_path(x, tau, n_grid):
+    # f(z) = z on (0, 1] jumps to z + 0.1 past 1; the lower-semicontinuous
+    # minimiser is 1, which golden section pins as it does without a gradient
+    # (to about 1e-14 where phi' is as shallow as -0.03 on the left)
+    f = resolve_entry("staircase?m=1&eps=0.1").functional
+    c = ProxControls(n_grid=n_grid)
+    res = resolvent(f, np.array([x]), tau, c)
+    ref = resolvent(dataclasses.replace(f, smooth_gradient=None), np.array([x]), tau, c)
+    assert _bits(res.points) == _bits(ref.points)
+    assert [abs(float(p[0]) - 1.0) <= 1e-13 for p in res.points] == [True]
 
 
 _COORDS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
@@ -471,7 +571,7 @@ def test_kink_resolvent_falls_back_to_the_multistart(monkeypatch, x):
     calls = _count_multistarts(monkeypatch)
     res = resolvent(counted, x, 0.5)
     assert len(calls) == 1 and not res.certified
-    assert res.n_evals == seen[0]
+    assert res.n_evals == len(seen)
     assert np.linalg.norm(res.points[0]) < 1e-9
 
 
@@ -545,6 +645,20 @@ def test_pick_branch_table(policy, expected):
         assert tuple(pick_branch(order, policy, x)) == expected
     with pytest.raises(ValueError, match="unknown policy 'nearest'"):
         pick_branch(cands, "nearest", x)
+
+
+@pytest.mark.parametrize("tau", [0.31, 0.62, 0.86, 2.39])  # +w comes out an ulp nearer
+def test_smallest_distance_tie_survives_rounding(tau):
+    # from the ridge x = 0 the two wells are exactly tied and equidistant; the
+    # computed minimisers differ in the last bits, which must not pick +w
+    e = resolve_entry("double-well")
+    seq = run_prox_sequence(e.functional, np.array([0.0]), tau, n_steps=1)
+    (minus, _) = e.analytic_resolvent(np.array([0.0]), tau)
+    assert seq.steps[0].n_candidates == 2
+    assert abs(float(seq.points[1][0] - minus[0])) <= 1e-14
+    near = [np.array([-1.0 - 2.3e-16]), np.array([1.0])]  # one ulp farther
+    for order in (near, near[::-1]):
+        assert pick_branch(order, "smallest-distance", np.array([0.0])) is near[0]
 
 
 def test_max_steps_rejects_a_longer_schedule(monkeypatch):
