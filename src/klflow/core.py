@@ -151,11 +151,6 @@ class EuclideanBackend:
         if int(self.dimension) < 1 or self.dimension != int(self.dimension):
             raise ValueError("dimension must be a positive integer")
 
-    def distance(self, x, y) -> float:
-        return float(
-            np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        )
-
 
 @dataclass
 class Functional:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -21,6 +21,9 @@ from .core import (
     EuclideanBackend, Functional, as_point, dense_scan, pick_branch, row_norms
 )
 from .theta import ParameterFunction, make_power_theta
+
+BRUTE_FORCE_GRID = 20001  #: points of the brute-force scan of a sample box
+BRUTE_FORCE_TIE_TOL = 1e-9  #: value gap under which a point ties the brute-force optimum
 
 
 @dataclass
@@ -601,36 +604,24 @@ def make_sharpness(
     )
 
 
-def brute_force_minimiser(
-    target,
-    box: Optional[Sequence] = None,
-    grid_points: int = 20001,
-    tie_tol: float = 1e-9,
-) -> BruteForceResult:
+def brute_force_minimiser(entry: CorpusEntry) -> BruteForceResult:
     """Dense-grid global minimisation with local refinement (1-D).
 
-    ``target`` is a Functional or CorpusEntry; ``box`` defaults to the
-    entry's sample box.  Returns the best point, its value, and all
-    near-optimal points within ``tie_tol`` of the optimum (deduplicated,
-    capped).  ``on_boundary`` flags an argmin at the box edge, which makes
-    the result inconclusive as a global statement.
+    Scans ``BRUTE_FORCE_GRID`` points of the entry's sample box.  Returns
+    the best point, its value, and all near-optimal points within
+    ``BRUTE_FORCE_TIE_TOL`` of the optimum (deduplicated, capped).
+    ``on_boundary`` flags an argmin at the box edge, which makes the result
+    inconclusive as a global statement.
     """
-    if isinstance(target, CorpusEntry):
-        f = target.functional
-        if box is None:
-            box = target.sample_box
-    else:
-        f = target
-        if box is None:
-            raise ValueError("box required when target is a bare Functional")
+    f = entry.functional
     if f.backend.dimension != 1:
         raise ValueError("brute_force_minimiser supports 1-D functionals")
-    lo, hi = float(box[0]), float(box[1])
-    scan = dense_scan(lambda g: f.values(g[:, None]), lo, hi, grid_points)
+    lo, hi = map(float, entry.sample_box)
+    scan = dense_scan(lambda g: f.values(g[:, None]), lo, hi, BRUTE_FORCE_GRID)
     xs, vals = scan.grid, scan.values
     i_best = int(np.argmin(vals))
     v_best = float(vals[i_best])
-    h = (hi - lo) / (grid_points - 1)
+    h = (hi - lo) / (BRUTE_FORCE_GRID - 1)
 
     # refine the few best non-flat candidates
     order = np.argsort(vals)
@@ -646,14 +637,14 @@ def brute_force_minimiser(
         refined.append((float(res.x), float(res.fun)))
     refined.append((float(xs[i_best]), v_best))
     v_opt = min(v for _, v in refined)
-    x_opt = min(x for x, v in refined if v <= v_opt + tie_tol)
+    x_opt = min(x for x, v in refined if v <= v_opt + BRUTE_FORCE_TIE_TOL)
 
     # near-optimal set: raw grid hits plus the polished candidates, so that
-    # isolated off-grid minima are kept even when no grid value clears tie_tol
-    mask = vals <= v_opt + tie_tol
+    # isolated off-grid minima are kept even when no grid value clears the tie tolerance
+    mask = vals <= v_opt + BRUTE_FORCE_TIE_TOL
     merged = sorted(
         {float(x) for x in xs[mask]}
-        | {x for x, v in refined if v <= v_opt + tie_tol}
+        | {x for x, v in refined if v <= v_opt + BRUTE_FORCE_TIE_TOL}
     )
     # contiguous runs collapse to their endpoints; for a plateau that keeps
     # the nearest-distance answer exact from outside the run
@@ -671,7 +662,7 @@ def brute_force_minimiser(
             break
     if prev is not None and run_start is not None and prev > run_start and len(ties) < 4096:
         ties.append(np.array([prev]))
-    on_boundary = i_best in (0, grid_points - 1)
+    on_boundary = i_best in (0, BRUTE_FORCE_GRID - 1)
     return BruteForceResult(
         point=np.array([x_opt]), value=v_opt, ties=ties, on_boundary=on_boundary
     )

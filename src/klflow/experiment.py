@@ -53,7 +53,7 @@ from .prox import (
     sequence_to_csv,
     tau_schedule,
 )
-from .theta import auxiliary_functions, make_power_theta
+from .theta import make_power_theta
 
 _MODES = ("condition", "flow", "prox", "recursion", "all")
 _NESTED = ("theta", "flow_controls", "prox_controls", "tolerances", "recursion")
@@ -354,7 +354,6 @@ def _run_flow_mode(
     report: RunReport,
 ) -> List[RateCertificate]:
     f = entry.functional
-    aux = auxiliary_functions(pf)
     controls = FlowControls(**config.flow_controls)
     cond, cond_strict = conditions["A"], conditions["A-strict"]
     report.condition.setdefault("A", _condition_to_dict(cond))
@@ -362,7 +361,7 @@ def _run_flow_mode(
     traj = integrate_maximal_slope(f, x0, t_end=config.horizon, controls=controls)
     ede = verify_ede(traj)
     tol = config.certificate_tol()
-    certs = certify_rates_continuous(traj, pf, aux, x0, r, tol=tol, condition=cond)
+    certs = certify_rates_continuous(traj, pf, x0, r, tol=tol, condition=cond)
     if pf.family == "power":
         certs.append(certify_power_family(traj, pf.c, pf.gamma, r=r, tol=tol))
     if cond_strict.holds and not cond_strict.equilibrium:
@@ -410,15 +409,12 @@ def _run_prox_mode(
     report: RunReport,
 ) -> List[RateCertificate]:
     f = entry.functional
-    aux = auxiliary_functions(pf)
     controls = ProxControls(**config.prox_controls)
     cond_strict = conditions["A-strict"]
     report.condition.setdefault("A-strict", _condition_to_dict(cond_strict))
     seq = run_prox_sequence(f, x0, config.tau, config.n_steps, controls)
     tol = config.certificate_tol()
-    certs = certify_rates_discrete(
-        seq, pf, aux, x0=x0, r=r, alpha=config.alpha, tol=tol
-    )
+    certs = certify_rates_discrete(seq, pf, x0=x0, r=r, alpha=config.alpha, tol=tol)
     if pf.family == "power":
         certs.extend(certify_power_rates_discrete(seq, pf.c, pf.gamma, r=r, tol=tol))
     if cond_strict.holds and not cond_strict.equilibrium:

@@ -33,7 +33,7 @@ from .core import (
     pick_branch, row_norms, write_csv,
 )
 from .sampling import unit_directions
-from .theta import AuxiliaryFunctions, ParameterFunction
+from .theta import ParameterFunction, eta_eval, gamma_eval
 
 
 BUDGET = 40.0  #: time horizon of a budget-mode run (t_end None or inf)
@@ -47,6 +47,9 @@ DISSIPATION_REL = 0.25  #: relative tolerance on the predicted decrease
 EVENT_DT_FLOOR = 1e-9  #: event-walk step at which an obstruction is pinned
 KINK_KICK = 1e-9  #: displacement used to leave a descent kink, times max(1, |x|)
 PROBE_DELTA = 1e-7  #: one-sided probe length at a kink, times max(1, |x|)
+FD_PROBE = 1e-6  #: central-difference step of the gradient when f has no gradient oracle
+PAIR_COUNT = 40  #: samples whose pairs the theta-distance certificate checks
+ENDPOINT_TOL = 1e-6  #: largest gap between glued pieces' shared endpoints
 
 
 @dataclass
@@ -113,7 +116,7 @@ class EdeReport:
 # integration
 
 
-def _gradient_fn(f: Functional, probe_h: float = 1e-6) -> Callable:
+def _gradient_fn(f: Functional) -> Callable:
     if f.smooth_gradient is not None:
         return f.gradient
 
@@ -121,8 +124,8 @@ def _gradient_fn(f: Functional, probe_h: float = 1e-6) -> Callable:
         g = np.empty_like(x)
         for i in range(x.size):
             e = np.zeros_like(x)
-            e[i] = probe_h
-            g[i] = (f.value(x + e) - f.value(x - e)) / (2.0 * probe_h)
+            e[i] = FD_PROBE
+            g[i] = (f.value(x + e) - f.value(x - e)) / (2.0 * FD_PROBE)
         return g
 
     return fd_gradient
@@ -418,12 +421,10 @@ def verify_ede(traj: Trajectory) -> EdeReport:
 def certify_rates_continuous(
     traj: Trajectory,
     pf: ParameterFunction,
-    aux: AuxiliaryFunctions,
     x0,
     r: float,
     tol: float = DEFAULT_CERT_TOL,
     condition: Optional[ConditionReport] = None,
-    pair_count: int = 40,
 ) -> List[RateCertificate]:
     """Certificates for a trajectory under an anchored slope condition.
 
@@ -441,7 +442,7 @@ def certify_rates_continuous(
     certs: List[RateCertificate] = []
 
     # pairwise theta-distance: d(y_s, y_t) <= theta(f(y_s)) - theta(f(y_t))
-    idx = np.unique(np.linspace(0, ts.size - 1, pair_count).astype(int))
+    idx = np.unique(np.linspace(0, ts.size - 1, PAIR_COUNT).astype(int))
     cert_pairs = certificate(
         "theta-distance",
         ts[idx],
@@ -464,7 +465,7 @@ def certify_rates_continuous(
         )
     else:
         try:
-            gamma_r = aux.gamma(r)
+            gamma_r = gamma_eval(pf, r)
         except ValueError:
             gamma_r = None
         if gamma_r is None or not np.isfinite(gamma_r):
@@ -475,7 +476,7 @@ def certify_rates_continuous(
             )
         else:
             dlim = row_norms(xs[pre_mask] - traj.limit_point)
-            obs = np.array([aux.gamma(min(d, r)) for d in dlim])
+            obs = np.array([gamma_eval(pf, min(d, r)) for d in dlim])
             pred = gamma_r - ts[pre_mask]
             certs.append(
                 certificate(
@@ -485,8 +486,8 @@ def certify_rates_continuous(
             )
 
     # eta bound on the energy
-    eta_f0 = aux.eta(float(fsv[0]))
-    obs_eta = np.array([aux.eta(max(v, 0.0)) for v in fsv[pre_mask]])
+    eta_f0 = eta_eval(pf, float(fsv[0]))
+    obs_eta = np.array([eta_eval(pf, max(v, 0.0)) for v in fsv[pre_mask]])
     pred_eta = eta_f0 - ts[pre_mask]
     certs.append(
         certificate(
@@ -529,7 +530,7 @@ def certify_rates_continuous(
 
     # extinction of f at the limit, when the eta rate promises it in budget
     if traj.budget_mode:
-        eta_needed = eta_f0 - aux.eta(traj.f_tol)
+        eta_needed = eta_f0 - eta_eval(pf, traj.f_tol)
         if np.isfinite(eta_needed) and eta_needed <= traj.t_end:
             f_final = float(fsv[-1])
             cert_ext = certificate(
@@ -675,15 +676,13 @@ def improved_sqrt_distance_bound(
 def glue_trajectories(
     pieces: Sequence[Trajectory],
     pf: ParameterFunction,
-    aux: AuxiliaryFunctions,
     x0,
     r: float,
     tol: float = DEFAULT_CERT_TOL,
-    endpoint_tol: float = 1e-6,
 ) -> Tuple[Trajectory, List[RateCertificate]]:
     """Concatenate descent arcs end-to-start and certify the glued object.
 
-    Consecutive pieces must share endpoints within ``endpoint_tol``.  The
+    Consecutive pieces must share endpoints within ``ENDPOINT_TOL``.  The
     result is flagged as glued (it is a concatenation, not a single
     maximal-slope arc); the certificates produced are the ones that survive
     gluing: telescoped theta-distance, Gamma/eta decay, confinement.
@@ -692,9 +691,9 @@ def glue_trajectories(
         raise ValueError("need at least one trajectory piece")
     for a, b in zip(pieces, pieces[1:]):
         gap = float(np.linalg.norm(a.xs[-1] - b.xs[0]))
-        if gap > endpoint_tol:
+        if gap > ENDPOINT_TOL:
             raise ValueError(
-                f"segment endpoints do not meet: gap {gap:.3e} > {endpoint_tol:.1e}"
+                f"segment endpoints do not meet: gap {gap:.3e} > {ENDPOINT_TOL:.1e}"
             )
     ts_parts = []
     seg_parts = []
@@ -740,7 +739,7 @@ def glue_trajectories(
         f_tol=f_tol,
         diagnostics={"pieces": len(pieces)},
     )
-    certs = certify_rates_continuous(traj, pf, aux, x0, r, tol=tol)
+    certs = certify_rates_continuous(traj, pf, x0, r, tol=tol)
     return traj, certs
 
 

@@ -47,7 +47,7 @@ from .core import (
 )
 from .sampling import ball_sample
 from .slope import descending_slope
-from .theta import AuxiliaryFunctions, ParameterFunction
+from .theta import ParameterFunction
 
 
 BOX_SLACK = 1e-6  #: relative widening of the box that holds every minimiser
@@ -59,6 +59,10 @@ POINT_TIE_TOL = 1e-9  #: relative distance under which two minimisers are one
 N_STARTS = 32  #: multistart count for dimension > 1
 DE_GIORGI_PANELS = 20  #: dyadic Gauss-Legendre panels of the De Giorgi integral
 DE_GIORGI_GRID = 257  #: n_grid of each resolvent inside that integral
+MONOTONICITY_TOL = 1e-9  #: slack of the per-step value and stationarity inequalities
+IOFFE_GRID = 4097  #: points of the dense scan in the distance-to-sublevel check
+IOFFE_TOL = 1e-9  #: slack of that check's distance bound and strip
+POLY_R_MAX = 1e6  #: upper end of the search for the polynomial recursion constant
 
 
 @dataclass
@@ -457,22 +461,23 @@ def run_prox_sequence(
     )
 
 
-def check_step_monotonicity(step: ProxStep, tol: float = 1e-9) -> dict:
+def check_step_monotonicity(step: ProxStep) -> dict:
     """Per-step inequalities every exact resolvent step satisfies.
 
     value drop: f(z) <= f(x); variational drop: f(z) + d^2/(2 tau) <= f(x);
-    stationarity: tau |df|(z) <= d whenever the slope at z is finite.
+    stationarity: tau |df|(z) <= d whenever the slope at z is finite.  Each
+    holds up to ``MONOTONICITY_TOL``.
     """
     out = {
-        "value_decrease": step.f_to <= step.f_from + tol,
+        "value_decrease": step.f_to <= step.f_from + MONOTONICITY_TOL,
         "variational_decrease": step.f_to + step.dist**2 / (2.0 * step.tau)
-        <= step.f_from + tol,
+        <= step.f_from + MONOTONICITY_TOL,
         "variational_margin": step.f_from
         - step.f_to
         - step.dist**2 / (2.0 * step.tau),
     }
     if np.isfinite(step.slope_to):
-        out["stationarity"] = step.tau * step.slope_to <= step.dist + tol
+        out["stationarity"] = step.tau * step.slope_to <= step.dist + MONOTONICITY_TOL
         out["stationarity_margin"] = step.dist - step.tau * step.slope_to
         if not out["stationarity"] and step.f_to <= 1e-12 * (1.0 + abs(step.f_from)):
             # the step reached the bottom of the value range; a point this
@@ -598,11 +603,11 @@ def ioffe_distance_check(
     x,
     delta: float,
     v: float,
-    box: Optional[Tuple[float, float]] = None,
-    grid_points: int = 4097,
-    tol: float = 1e-9,
 ) -> dict:
     """Check d(x, {f <= delta}) <= (f(x) - delta)/v by exhaustive 1-d scan.
+
+    The scan covers ``IOFFE_GRID`` points of x +- 4 (f(x) - delta)/v, and
+    the bound holds up to ``IOFFE_TOL``.
 
     v must lower-bound the slope on the strip {delta < f <= f(x)} near x for
     the bound to be a theorem; the empirical strip minimum of the sampled
@@ -618,11 +623,12 @@ def ioffe_distance_check(
         raise ValueError("v must be positive")
     xval = float(x[0])
     bound = (fx - delta) / v
-    lo, hi = box if box is not None else (xval - 4.0 * bound, xval + 4.0 * bound)
-    scan = dense_scan(lambda g: f.values(g[:, None]), lo, hi, grid_points)
+    scan = dense_scan(
+        lambda g: f.values(g[:, None]), xval - 4.0 * bound, xval + 4.0 * bound, IOFFE_GRID
+    )
     grid, vals = scan.grid, scan.values
     below = vals <= delta
-    strip = (delta < vals) & (vals <= fx) & (np.abs(grid - xval) <= bound + tol)
+    strip = (delta < vals) & (vals <= fx) & (np.abs(grid - xval) <= bound + IOFFE_TOL)
     dist = INF
     strip_slope = INF
     for i in np.flatnonzero(below | strip):
@@ -631,7 +637,7 @@ def ioffe_distance_check(
             cand = abs(g - xval)
             # sharpen across the crossing cell when a neighbour is above level
             for jn in (i - 1, i + 1):
-                if 0 <= jn < grid_points and not below[jn]:
+                if 0 <= jn < IOFFE_GRID and not below[jn]:
                     try:
                         root = brentq(
                             lambda z: f.value(np.array([z])) - delta, min(g, grid[jn]),
@@ -647,7 +653,7 @@ def ioffe_distance_check(
         "distance": float(dist),
         "bound": float(bound),
         "margin": float(bound - dist),
-        "holds": bool(dist <= bound + tol),
+        "holds": bool(dist <= bound + IOFFE_TOL),
         "strip_slope_min": float(strip_slope),
     }
 
@@ -667,12 +673,10 @@ class RecursiveBoundParams:
     k0: Optional[int] = None  # delta < 1 doubly-exponential entry index
 
 
-def recursive_bound_params(
-    alpha: float, delta: float, f0: float, r_max: float = 1e6
-) -> RecursiveBoundParams:
+def recursive_bound_params(alpha: float, delta: float, f0: float) -> RecursiveBoundParams:
     """Derive the bound constants for u_{k+1} + alpha u_{k+1}^delta <= u_k.
 
-    delta > 1: polynomial constant C = sup over R in (1, r_max] of
+    delta > 1: polynomial constant C = sup over R in (1, POLY_R_MAX] of
     min(alpha (delta - 1)/R, (R^((delta-1)/delta) - 1) f0^(1-delta)), found
     by golden-section (the first branch falls, the second rises, so their
     minimum is unimodal).  delta < 1: uniform geometric rate alpha_tilde =
@@ -691,7 +695,7 @@ def recursive_bound_params(
                 (r ** ((delta - 1.0) / delta) - 1.0) * f0 ** (1.0 - delta),
             )
 
-        _, a, b = _golden_section(lambda r: -branch(r), 1.0 + 1e-12, r_max, 1e-10)
+        _, a, b = _golden_section(lambda r: -branch(r), 1.0 + 1e-12, POLY_R_MAX, 1e-10)
         return RecursiveBoundParams(alpha, delta, f0, poly_c=branch(0.5 * (a + b)))
     u_star = alpha ** (1.0 / (1.0 - delta))
     alpha_tilde = alpha * f0 ** (delta - 1.0)
@@ -771,7 +775,6 @@ def _flag_uncertified(
 def certify_rates_discrete(
     seq: ProxSequence,
     pf: ParameterFunction,
-    aux: AuxiliaryFunctions,
     x0=None,
     r: Optional[float] = None,
     alpha: Optional[float] = None,

@@ -57,14 +57,13 @@ def sampled_slope(
     f: Functional,
     x,
     radii: Sequence[float] = DEFAULT_RADII,
-    n_directions: int = DEFAULT_DIRECTIONS,
-    seed: int = SAMPLER_SEED,
     fx: Optional[float] = None,
 ) -> SlopeEstimate:
     """Ball-sampling descending slope estimate, ignoring attached oracles.
 
     Takes the max difference quotient over the two finest radii as the
-    limsup surrogate, so only those two radii are probed, in one batched
+    limsup surrogate, so only those two radii are probed, along the
+    ``DEFAULT_DIRECTIONS`` directions of the library sampler, in one batched
     value call.  Points whose neighbours all evaluate to +inf get slope 0
     (isolated-in-domain convention).  ``fx`` is f(x) when the caller
     already holds it.
@@ -77,7 +76,7 @@ def sampled_slope(
     if len(radii) == 0:
         raise ValueError("radius schedule must be non-empty")
     finest = np.array(sorted(radii, reverse=True)[-2:], dtype=float)
-    dirs = unit_directions(x.size, n_directions, seed)
+    dirs = unit_directions(x.size, DEFAULT_DIRECTIONS, SAMPLER_SEED)
     probes = (x + finest[:, None, None] * dirs).reshape(-1, x.size)
     fy = f.values(probes).reshape(len(finest), len(dirs))
     quotients = np.where(fy < fx, (fx - fy) / finest[:, None], 0.0)
@@ -85,14 +84,7 @@ def sampled_slope(
     return SlopeEstimate(value, float(finest[-1]), len(probes), "ball-sampling")
 
 
-def descending_slope(
-    f: Functional,
-    x,
-    radii: Sequence[float] = DEFAULT_RADII,
-    n_directions: int = DEFAULT_DIRECTIONS,
-    seed: int = SAMPLER_SEED,
-    fx: Optional[float] = None,
-) -> SlopeEstimate:
+def descending_slope(f: Functional, x, fx: Optional[float] = None) -> SlopeEstimate:
     """Descending slope of f at x.
 
     Prefers the functional's exact slope oracle, then the gradient norm on
@@ -110,9 +102,7 @@ def descending_slope(
     g = f.gradient(x)
     if g is not None:
         return SlopeEstimate(float(np.linalg.norm(g)), 0.0, 0, "gradient-norm")
-    return sampled_slope(
-        f, x, radii=radii, n_directions=n_directions, seed=seed, fx=fx
-    )
+    return sampled_slope(f, x, fx=fx)
 
 
 def chain_rule_slope(

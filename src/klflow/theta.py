@@ -27,6 +27,8 @@ from .core import INF
 
 #: probe argument used to decide whether theta is onto [0, inf)
 OVERFLOW_PROBE = 1e300
+QUAD_TOL = 1e-12  #: absolute and relative tolerance of the eta quadrature
+INVERSE_TOL = 1e-12  #: |theta(u) - v| at which bisection accepts u = theta^{-1}(v)
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def make_power_theta(c: float, gamma: float) -> ParameterFunction:
     )
 
 
-def eta_eval(pf: ParameterFunction, u: float, quad_tol: float = 1e-12) -> float:
+def eta_eval(pf: ParameterFunction, u: float) -> float:
     """Evaluate eta(u) = int_1^u theta'(s)^2 ds.
 
     Closed form for the power family:
@@ -124,14 +126,14 @@ def eta_eval(pf: ParameterFunction, u: float, quad_tol: float = 1e-12) -> float:
     integrand = lambda s: pf.theta_deriv(s) ** 2
 
     def integrate(lo: float, hi: float) -> float:
-        val, _ = quad(integrand, lo, hi, epsabs=quad_tol, epsrel=quad_tol, limit=400)
+        val, _ = quad(integrand, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
         return val
 
     if u == 0.0:
         # probe successively smaller lower limits; divergence shows up as
         # unbounded growth between probes
         probes = [integrate(eps, 1.0) for eps in (1e-8, 1e-10, 1e-12)]
-        if probes[-1] - probes[-2] > 100.0 * (abs(probes[-2]) * 1e-9 + quad_tol):
+        if probes[-1] - probes[-2] > 100.0 * (abs(probes[-2]) * 1e-9 + QUAD_TOL):
             return -INF
         return -probes[-1]
     if u >= 1.0:
@@ -139,11 +141,11 @@ def eta_eval(pf: ParameterFunction, u: float, quad_tol: float = 1e-12) -> float:
     return -integrate(u, 1.0)
 
 
-def theta_inverse_bisect(pf: ParameterFunction, v: float, tol: float = 1e-12) -> float:
+def theta_inverse_bisect(pf: ParameterFunction, v: float) -> float:
     """Invert theta by monotone bisection with automatic bracket expansion.
 
-    Stops when |theta(mid) - v| <= tol.  Raises if v exceeds the range of
-    theta (bracket expansion hits the overflow probe bound).
+    Stops when |theta(mid) - v| <= INVERSE_TOL.  Raises if v exceeds the
+    range of theta (bracket expansion hits the overflow probe bound).
     """
     v = float(v)
     if v < 0.0:
@@ -158,7 +160,7 @@ def theta_inverse_bisect(pf: ParameterFunction, v: float, tol: float = 1e-12) ->
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         fm = pf.theta(mid)
-        if abs(fm - v) <= tol:
+        if abs(fm - v) <= INVERSE_TOL:
             return mid
         if fm < v:
             lo = mid
@@ -169,33 +171,27 @@ def theta_inverse_bisect(pf: ParameterFunction, v: float, tol: float = 1e-12) ->
     return 0.5 * (lo + hi)
 
 
-def theta_inverse(pf: ParameterFunction, v: float, tol: float = 1e-12) -> float:
+def theta_inverse(pf: ParameterFunction, v: float) -> float:
     """Invert theta, preferring an attached closed form over bisection."""
     if pf.theta_inverse is not None:
         return float(pf.theta_inverse(float(v)))
-    return theta_inverse_bisect(pf, v, tol=tol)
+    return theta_inverse_bisect(pf, v)
 
 
-def gamma_eval(pf: ParameterFunction, aux: AuxiliaryFunctions, v: float) -> float:
+def gamma_eval(pf: ParameterFunction, v: float) -> float:
     """Evaluate Gamma(v) = eta(theta^{-1}(v)) for v in the range of theta."""
     v = float(v)
     if v < 0.0:
         raise ValueError("Gamma is defined on [0, theta(inf))")
     if v > 0.0 and v >= pf.theta_at_infinity():
         raise ValueError("argument exceeds the range of theta")
-    return aux.eta(theta_inverse(pf, v))
+    return eta_eval(pf, theta_inverse(pf, v))
 
 
 def auxiliary_functions(pf: ParameterFunction) -> AuxiliaryFunctions:
     """Bundle eta and Gamma evaluators for one parameter function."""
-    aux_holder: dict = {}
-
-    def eta(u: float) -> float:
-        return eta_eval(pf, u)
-
-    def gamma(v: float) -> float:
-        return gamma_eval(pf, aux_holder["aux"], v)
-
-    aux = AuxiliaryFunctions(eta=eta, gamma=gamma, eta_closed_form=pf.family == "power")
-    aux_holder["aux"] = aux
-    return aux
+    return AuxiliaryFunctions(
+        eta=lambda u: eta_eval(pf, u),
+        gamma=lambda v: gamma_eval(pf, v),
+        eta_closed_form=pf.family == "power",
+    )

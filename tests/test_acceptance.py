@@ -45,7 +45,7 @@ from klflow.prox import (
     run_prox_sequence,
 )
 from klflow.slope import descending_slope
-from klflow.theta import auxiliary_functions, make_power_theta
+from klflow.theta import make_power_theta
 
 
 def _gate(name: str, ok: bool, detail: str = "") -> None:
@@ -85,7 +85,6 @@ def test_02_double_well_branch_certificates():
     t0 = time.perf_counter()
     e = resolve_entry("double-well?lambda=1&a=1")
     pf = matched_half_power(2.0)
-    aux = auxiliary_functions(pf)
     x0 = np.array([0.0])
     ok = True
     worst = math.inf
@@ -93,7 +92,7 @@ def test_02_double_well_branch_certificates():
         traj = integrate_maximal_slope(
             e.functional, x0, t_end=15.0, controls=FlowControls(policy=pol)
         )
-        certs = certify_rates_continuous(traj, pf, aux, x0, 1.0)
+        certs = certify_rates_continuous(traj, pf, x0, 1.0)
         for c in certs:
             ok = ok and not c.skipped and c.verdict and c.margin >= -c.tol
             worst = min(worst, c.margin)
@@ -119,7 +118,7 @@ def test_03_staircase_glue_telescoping():
         len(traj.segment_boundaries) == 1
         and abs(traj.segment_boundaries[0] - 1.0) <= 1e-3
     )
-    certs = certify_rates_continuous(traj, pf, auxiliary_functions(pf), x0, r)
+    certs = certify_rates_continuous(traj, pf, x0, r)
     cert_ok = all(c.skipped or c.verdict for c in certs)
     tele = next(c for c in certs if c.kind == "theta-distance")
     elapsed = time.perf_counter() - t0

@@ -12,7 +12,7 @@ from klflow.certificates import theta_distance_margin
 from klflow.experiment import ExperimentConfig, run_experiment
 from klflow.flow import FlowControls, certify_rates_continuous, integrate_maximal_slope
 from klflow.prox import ProxSequence, certify_rates_discrete, run_prox_sequence
-from klflow.theta import auxiliary_functions, make_power_theta
+from klflow.theta import make_power_theta
 
 QUAD_PF = make_power_theta(1.0 / math.sqrt(2.0), 0.5)
 
@@ -66,10 +66,9 @@ def _geometric_sequence(n, tau=1e-3):
 def test_certify_rates_discrete_runs_in_bounded_memory():
     # one 4001 x 4001 float array alone is 122 MiB
     seq = _geometric_sequence(4001)
-    aux = auxiliary_functions(QUAD_PF)
     tracemalloc.start()
     try:
-        certs = certify_rates_discrete(seq, QUAD_PF, aux, x0=[1.0], r=1.5, alpha=1.0)
+        certs = certify_rates_discrete(seq, QUAD_PF, x0=[1.0], r=1.5, alpha=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -98,11 +97,10 @@ def test_2d_prox_tail_distances_are_the_distance_power_series(tmp_path):
 
 def test_details_say_whether_pairs_were_sampled():
     e = resolve_entry("quadratic?lambda=1")
-    aux = auxiliary_functions(QUAD_PF)
     x0 = np.array([1.0])
 
     def flow_pairs(traj):
-        certs = certify_rates_continuous(traj, QUAD_PF, aux, x0, 1.0)
+        certs = certify_rates_continuous(traj, QUAD_PF, x0, 1.0)
         return next(c for c in certs if c.kind == "theta-distance").details
 
     budget = integrate_maximal_slope(e.functional, x0)
@@ -120,7 +118,7 @@ def test_details_say_whether_pairs_were_sampled():
     assert details["pairs"] == short.n_samples * (short.n_samples - 1) // 2
 
     seq = run_prox_sequence(e.functional, x0, 0.5, n_steps=5)
-    certs = certify_rates_discrete(seq, QUAD_PF, aux)
+    certs = certify_rates_discrete(seq, QUAD_PF)
     details = next(c for c in certs if c.kind == "discrete-theta-distance").details
     assert details["pairs_sampled"] is False
     assert details["pairs"] == 6 * 5 // 2

@@ -23,7 +23,7 @@ from klflow.flow import (
     verify_ede,
 )
 from klflow.sampling import unit_directions
-from klflow.theta import auxiliary_functions, make_power_theta
+from klflow.theta import make_power_theta
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +119,7 @@ def test_budget_mode_runs_to_the_default_horizon():
 
 def test_continuous_certificates_on_quadratic(quad_traj):
     pf = make_power_theta(1.0 / math.sqrt(2.0), 0.5)
-    aux = auxiliary_functions(pf)
-    certs = certify_rates_continuous(quad_traj, pf, aux, np.array([1.0]), 1.0)
+    certs = certify_rates_continuous(quad_traj, pf, np.array([1.0]), 1.0)
     kinds = {c.kind for c in certs}
     assert kinds == {
         "theta-distance",
@@ -148,10 +147,9 @@ def test_power_family_and_sqrt_improvement(quad_traj):
 def test_glue_trajectories_joins_and_checks_endpoints():
     e = resolve_entry("quadratic?lambda=1")
     pf = make_power_theta(1.0 / math.sqrt(2.0), 0.5)
-    aux = auxiliary_functions(pf)
     t1 = integrate_maximal_slope(e.functional, np.array([1.0]), t_end=2.0)
     t2 = integrate_maximal_slope(e.functional, t1.xs[-1].copy(), t_end=3.0)
-    glued, certs = glue_trajectories([t1, t2], pf, aux, np.array([1.0]), 1.0)
+    glued, certs = glue_trajectories([t1, t2], pf, np.array([1.0]), 1.0)
     assert glued.glued
     assert glued.ts[-1] == pytest.approx(5.0)
     assert glued.segment_boundaries == [pytest.approx(2.0)]
@@ -160,7 +158,7 @@ def test_glue_trajectories_joins_and_checks_endpoints():
 
     stranger = integrate_maximal_slope(e.functional, np.array([0.5]), t_end=1.0)
     with pytest.raises(ValueError):
-        glue_trajectories([t1, stranger], pf, aux, np.array([1.0]), 1.0)
+        glue_trajectories([t1, stranger], pf, np.array([1.0]), 1.0)
 
 
 def test_trajectory_csv_round_trip_is_bitwise(tmp_path, quad_traj):

@@ -29,7 +29,7 @@ from klflow.prox import (
     run_prox_sequence,
     sequence_to_csv,
 )
-from klflow.theta import auxiliary_functions, make_power_theta
+from klflow.theta import make_power_theta
 
 
 def test_resolvent_quadratic_is_exact():
@@ -245,7 +245,7 @@ def test_discrete_certificates_quadratic():
     seq = run_prox_sequence(e.functional, np.array([1.0]), 0.5, n_steps=30)
     pf = make_power_theta(1.0 / math.sqrt(2.0), 0.5)
     certs = certify_rates_discrete(
-        seq, pf, auxiliary_functions(pf), x0=np.array([1.0]), r=1.0, alpha=2.0
+        seq, pf, x0=np.array([1.0]), r=1.0, alpha=2.0
     )
     kinds = {c.kind for c in certs}
     assert kinds == {
@@ -279,7 +279,7 @@ def test_power_certificates_skip_under_variable_tau():
     # the per-step certificates do not need a constant step size
     pf = make_power_theta(1.0 / math.sqrt(2.0), 0.5)
     var = certify_rates_discrete(
-        seq, pf, auxiliary_functions(pf), x0=np.array([1.0]), r=1.0, alpha=2.0
+        seq, pf, x0=np.array([1.0]), r=1.0, alpha=2.0
     )
     assert all(c.verdict and not c.skipped for c in var)
 
@@ -584,7 +584,7 @@ def test_q2d_prox_rests_on_certified_resolvents():
         (exact,) = e.analytic_resolvent(prev, 0.5)
         assert np.linalg.norm(z - exact) <= 1e-12 * (1.0 + np.linalg.norm(z))
     pf, r = e.condition_data(x0)
-    certs = certify_rates_discrete(seq, pf, auxiliary_functions(pf), x0=x0, r=r)
+    certs = certify_rates_discrete(seq, pf, x0=x0, r=r)
     certs += certify_power_rates_discrete(seq, pf.c, pf.gamma, r=r)
     assert {c.details["uncertified_steps"] for c in certs} == {0}
 

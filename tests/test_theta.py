@@ -58,10 +58,9 @@ def test_eta_power_form_general(gamma):
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_gamma_is_eta_through_theta_inverse(gamma):
     pf = make_power_theta(0.9, gamma)
-    aux = auxiliary_functions(pf)
     for u in (1e-3, 0.3, 1.0, 12.0):
         v = pf.theta(u)
-        assert math.isclose(gamma_eval(pf, aux, v), eta_eval(pf, u), rel_tol=1e-8, abs_tol=1e-10)
+        assert math.isclose(gamma_eval(pf, v), eta_eval(pf, u), rel_tol=1e-8, abs_tol=1e-10)
 
 
 def test_gamma_log_form_at_half():
@@ -115,9 +114,8 @@ def test_power_theta_properties(u, c, gamma):
     assert pf.theta(u) > 0
     assert pf.theta(u * 1.5) > pf.theta(u)
     assert pf.theta_deriv(u) > 0
-    aux = auxiliary_functions(pf)
     assert math.isclose(
-        gamma_eval(pf, aux, pf.theta(u)), eta_eval(pf, u), rel_tol=1e-7, abs_tol=1e-9
+        gamma_eval(pf, pf.theta(u)), eta_eval(pf, u), rel_tol=1e-7, abs_tol=1e-9
     )
 
 
