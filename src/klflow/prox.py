@@ -186,11 +186,12 @@ def _counted(f: Functional) -> Tuple[Functional, List[int]]:
 def _golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float, float]:
     """Golden-section search for a minimum of a unimodal ``fun`` on [lo, hi].
 
-    Shrinks the bracket until it is at most ``tol`` wide, which ends only if
-    ``tol`` is at least the float spacing at max(|lo|, |hi|).  Returns the
-    better of the two interior points and the final bracket.  A maximum is
-    found by minimising ``-fun``: negation is exact, so the bracket sequence
-    is that of a search on ``fun`` with both comparisons flipped.
+    Shrinks the bracket until it is at most ``tol`` wide, or until a step
+    leaves it unchanged, which happens when ``tol`` is below the float
+    spacing at max(|lo|, |hi|).  Returns the better of the two interior
+    points and the final bracket.  A maximum is found by minimising
+    ``-fun``: negation is exact, so the bracket sequence is that of a search
+    on ``fun`` with both comparisons flipped.
     """
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -198,6 +199,7 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float
     c2 = a + ratio * (b - a)
     f1, f2 = fun(c1), fun(c2)
     while b - a > tol:
+        before = (a, b)
         if f1 > f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + ratio * (b - a)
@@ -206,6 +208,8 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float
             b, c2, f2 = c2, c1, f1
             c1 = b - ratio * (b - a)
             f1 = fun(c1)
+        if (a, b) == before:
+            break
     return (c1 if f1 <= f2 else c2), a, b
 
 

@@ -3,11 +3,13 @@
 import dataclasses
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import klflow.prox
 from klflow import resolve_entry
@@ -224,6 +226,24 @@ def test_recursion_equality_sequences_never_exceed_bound():
         assert np.all(np.diff(u) <= 0)
         worst = min(recursive_bound(p, k) - float(u[k]) for k in range(300))
         assert worst >= 0.0, delta
+
+
+def test_recursion_parameters_end_when_the_optimum_passes_float_spacing():
+    # the optimal R is about 5.4e5, where floats are 1.2e-10 apart: wider than
+    # the search's 1e-10 tolerance, so only a stuck bracket can end the search
+    def timeout(signum, frame):
+        raise TimeoutError("recursive_bound_params did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        p = recursive_bound_params(4e8, 2.0, 1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # the two branches alpha (delta - 1)/R and sqrt(R) - 1 cross at the optimum
+    r_cross = brentq(lambda r: math.sqrt(r) - 1.0 - 4e8 / r, 1.0, 1e6, xtol=1e-12)
+    assert p.poly_c == pytest.approx(4e8 / r_cross, rel=1e-12)
 
 
 @given(
