@@ -33,6 +33,7 @@ from .core import (
     pick_branch, row_norms, write_csv,
 )
 from .sampling import unit_directions
+from .slope import descending_slope
 from .theta import ParameterFunction, eta_eval, gamma_eval
 
 
@@ -254,19 +255,11 @@ def integrate_maximal_slope(
     segs: List[int] = []
     boundaries: List[float] = []
 
-    def slope_at(pt: np.ndarray) -> float:
-        if f.analytic_slope is not None:
-            return float(f.analytic_slope(pt))
-        g = grad(pt)
-        if g is not None:
-            return float(np.linalg.norm(g))
-        return 0.0
-
     def record(tv: float, pt: np.ndarray, fv: float, sg: int) -> None:
         ts.append(tv)
         xs.append(pt.copy())
         fs.append(fv)
-        slopes.append(slope_at(pt))
+        slopes.append(descending_slope(f, pt, fx=fv).value)
         segs.append(sg)
 
     t = 0.0

@@ -161,6 +161,17 @@ def test_glue_trajectories_joins_and_checks_endpoints():
         glue_trajectories([t1, stranger], pf, np.array([1.0]), 1.0)
 
 
+def test_slope_column_samples_a_kink_without_a_slope_oracle():
+    # the double-well ridge x = 0 has no gradient; its descending slope is lam a = 1
+    e = resolve_entry("double-well?lambda=1&a=1")
+    f = dataclasses.replace(e.functional, analytic_slope=None)
+    traj = integrate_maximal_slope(f, np.array([0.0]), t_end=0.5)
+    assert traj.xs[0, 0] == 0.0
+    assert traj.slopes[0] == pytest.approx(1.0, abs=1e-4)
+    exact = [e.functional.analytic_slope(x) for x in traj.xs]
+    assert np.allclose(traj.slopes, exact, rtol=0.0, atol=1e-4)
+
+
 def test_trajectory_csv_round_trip_is_bitwise(tmp_path, quad_traj):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
