@@ -30,7 +30,7 @@ from .certificates import (
 from .conditions import (  # noqa: F401
     ConditionReport, check_condition_A, check_condition_C, check_conditions
 )
-from .core import as_point, plain, write_csv
+from .core import as_point, check_int, check_real, plain, write_csv
 from .corpus import CorpusEntry, brute_force_minimiser, resolve_entry
 from .flow import (
     FlowControls,
@@ -57,15 +57,33 @@ from .theta import make_power_theta
 
 _MODES = ("condition", "flow", "prox", "recursion", "all")
 _NESTED = ("theta", "flow_controls", "prox_controls", "tolerances", "recursion")
+_THETA_KEYS = ("c", "gamma")
+_TOLERANCE_KEYS = ("certificate", "recursion")
+_RECURSION_KEYS = ("alpha", "delta", "f0", "k_max")
 
 
-def _build_controls(cls, raw: dict, key: str):
-    """``cls(**raw)`` for a controls dataclass; a key it lacks is an error
-    that names the key and lists the valid ones."""
-    valid = [f.name for f in fields(cls)]
+def _check_keys(raw, key: str, valid) -> None:
+    """Reject a nested block that is not a mapping or holds a key outside
+    ``valid``; the message lists the valid keys."""
+    valid = list(valid)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{key} must be a mapping with keys {valid}, got {raw!r}")
     unknown = sorted(set(raw) - set(valid))
     if unknown:
         raise ValueError(f"unknown {key} keys: {unknown}; valid keys: {valid}")
+
+
+def _check_complete(raw, key: str, valid) -> None:
+    """``_check_keys``, and every valid key must be present."""
+    _check_keys(raw, key, valid)
+    missing = [k for k in valid if k not in raw]
+    if missing:
+        raise ValueError(f"{key} needs keys {missing}; required keys: {list(valid)}")
+
+
+def _build_controls(cls, raw: dict, key: str):
+    """``cls(**raw)`` for a controls dataclass, after ``_check_keys``."""
+    _check_keys(raw, key, [f.name for f in fields(cls)])
     return cls(**raw)
 
 
@@ -90,12 +108,29 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # reject bad control keys, policy names and prox schedules before
-        # anything runs; a base config with variants runs only through them
+        # reject bad control keys, policy names, prox schedules and nested
+        # blocks before anything runs; a base config with variants runs only
+        # through them, so its blocks may be partial
         _build_controls(FlowControls, self.flow_controls, "flow_controls")
         prox = _build_controls(ProxControls, self.prox_controls, "prox_controls")
-        if not self.variants and self.tau is not None and self.mode in ("prox", "all"):
+        if self.theta == "auto":
+            self.theta = None
+        if self.variants:
+            return
+        if self.tau is not None and self.mode in ("prox", "all"):
             tau_schedule(self.tau, self.n_steps, prox.max_steps)
+        if self.theta is not None:
+            _check_complete(self.theta, "theta", _THETA_KEYS)
+            c, gamma = (check_real(f"theta {k}", self.theta[k]) for k in _THETA_KEYS)
+            make_power_theta(c, gamma)  # rejects gamma outside (0, 1]
+        _check_keys(self.tolerances, "tolerances", _TOLERANCE_KEYS)
+        for key, value in self.tolerances.items():
+            check_real(f"tolerances {key}", value, positive=False)
+        if self.recursion is not None or self.mode == "recursion":
+            _check_complete(self.recursion, "recursion", _RECURSION_KEYS)
+            for key in ("alpha", "delta", "f0"):
+                check_real(f"recursion {key}", self.recursion[key])
+            check_int("recursion k_max", self.recursion["k_max"], least=0)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -113,8 +148,6 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {data['mode']!r}")
         if data["mode"] != "recursion" and not data.get("functional"):
             raise ValueError("config missing required key 'functional'")
-        if data.get("theta") == "auto":
-            data["theta"] = None
         if isinstance(data.get("x0"), (int, float)):
             data["x0"] = [float(data["x0"])]
         return cls(**data)
@@ -463,10 +496,7 @@ def _run_prox_mode(
 def _run_recursion_mode(
     config: ExperimentConfig, run_dir: Path, report: RunReport
 ) -> List[RateCertificate]:
-    spec = config.recursion or {}
-    for req in ("alpha", "delta", "f0", "k_max"):
-        if req not in spec:
-            raise ValueError(f"run {config.run_id!r}: recursion needs {req!r}")
+    spec = config.recursion
     params = recursive_bound_params(
         float(spec["alpha"]), float(spec["delta"]), float(spec["f0"])
     )

@@ -64,6 +64,41 @@ def test_from_dict_rejects_bad_input():
         ExperimentConfig.from_dict({"id": "x", "mode": "flow"})
     # recursion runs do not reference a functional
     ExperimentConfig.from_dict(RECURSION_CFG)
+    # nested blocks: unknown keys are rejected with the valid ones listed,
+    # required keys are checked and values go through check_real / check_int
+    with pytest.raises(ValueError, match=r"unknown tolerances keys: \['certificat'\]; "
+                       r"valid keys: \['certificate', 'recursion'\]"):
+        ExperimentConfig.from_dict(dict(FLOW_CFG, tolerances={"certificat": 1e-9}))
+    with pytest.raises(ValueError, match="tolerances certificate must be a finite number >= 0"):
+        ExperimentConfig.from_dict(dict(FLOW_CFG, tolerances={"certificate": -1e-9}))
+    with pytest.raises(ValueError, match=r"theta needs keys \['gamma'\]"):
+        ExperimentConfig.from_dict(dict(FLOW_CFG, theta={"c": 1.0}))
+    with pytest.raises(ValueError, match=r"unknown theta keys: \['p'\]; valid keys: \['c', 'gamma'\]"):
+        ExperimentConfig.from_dict(dict(FLOW_CFG, theta={"c": 1.0, "gamma": 0.5, "p": 2}))
+    with pytest.raises(ValueError, match="theta c must be a positive finite number, got '1'"):
+        ExperimentConfig.from_dict(dict(FLOW_CFG, theta={"c": "1", "gamma": 0.5}))
+    with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+        ExperimentConfig.from_dict(dict(FLOW_CFG, theta={"c": 1.0, "gamma": 2.0}))
+    with pytest.raises(ValueError, match=r"unknown recursion keys: \['k'\]"):
+        ExperimentConfig.from_dict(
+            dict(RECURSION_CFG, recursion=dict(RECURSION_CFG["recursion"], k=3))
+        )
+    with pytest.raises(ValueError, match="recursion k_max must be an integer >= 0, got 2.5"):
+        ExperimentConfig.from_dict(
+            dict(RECURSION_CFG, recursion=dict(RECURSION_CFG["recursion"], k_max=2.5))
+        )
+    with pytest.raises(ValueError, match="recursion delta must be a positive finite number"):
+        ExperimentConfig.from_dict(
+            dict(RECURSION_CFG, recursion=dict(RECURSION_CFG["recursion"], delta=0))
+        )
+    with pytest.raises(ValueError, match="recursion must be a mapping"):
+        ExperimentConfig.from_dict({"id": "r", "mode": "recursion"})
+    # a variant is checked when it is expanded; its base may hold a partial block
+    base = ExperimentConfig.from_dict(dict(FLOW_CFG, theta={"c": 1.0}, variants=[{}]))
+    with pytest.raises(ValueError, match=r"theta needs keys \['gamma'\]"):
+        base.expand()
+    fixed = dict(FLOW_CFG, theta={"c": 1.0}, variants=[{"theta": {"gamma": 0.5}}])
+    assert ExperimentConfig.from_dict(fixed).expand()[0].theta == {"c": 1.0, "gamma": 0.5}
 
 
 def test_expand_variants_merges_and_renames():
@@ -391,6 +426,21 @@ def test_suite_checks_prox_schedules_before_any_run(tmp_path, capsys):
     assert cli_main(["suite", str(manifest), "--output", str(out)]) == 2
     assert "tau must be a positive finite number, got -0.1" in capsys.readouterr().err
     assert not (out / "a-flow").exists() and not (out / "suite_report.json").exists()
+    # so is a theta block without gamma, which used to fail after a-flow ran
+    manifest.write_text(
+        yaml.safe_dump([dict(FLOW_CFG, id="a-flow"), dict(PROX_CFG, theta={"c": 1.0})])
+    )
+    with pytest.raises(ValueError, match=r"theta needs keys \['gamma'\]"):
+        run_suite(manifest, output_root=out)
+    assert cli_main(["suite", str(manifest), "--output", str(out)]) == 2
+    assert "theta needs keys ['gamma']" in capsys.readouterr().err
+    assert not (out / "a-flow").exists() and not (out / "suite_report.json").exists()
+    # and a misspelt tolerance, which used to be ignored
+    typo = tmp_path / "typo.yaml"
+    typo.write_text(yaml.safe_dump(dict(FLOW_CFG, tolerances={"certificat": 1e-9})))
+    assert cli_main(["run", str(typo), "--output", str(out)]) == 2
+    assert "unknown tolerances keys: ['certificat']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_policy_fails_at_load_and_cli_exits_2(tmp_path, capsys):
