@@ -9,7 +9,7 @@ theta(f(x0)) <= r together with theta'(f(y)) * |df|(y) >= 1 on the admissible
 set; its quantitative cousin asks alpha(x0, r) >= 4 f(x0) / r^2 where alpha
 is the infimum of |df|^2 / f.  The strict variants sharpen the respective
 inequality.  Verification is by deterministic low-discrepancy sampling plus
-local descent refinement around the worst observed points, so a "holds"
+compass-search refinement around the worst observed points, so a "holds"
 verdict is a sampled certificate, not a proof.
 """
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .core import INF, Functional, row_norms
 from .sampling import SAMPLER_SEED, ball_sample
@@ -36,6 +35,9 @@ SLOPE_ACCEPT_TOL = 1e-6
 EQUILIBRIUM_F_TOL = 1e-14
 
 DEFAULT_SAMPLE_COUNT = 2048
+
+#: the compass refinement stops once its step is at most this times max(1, |y|)
+REFINE_STEP_TOL = 1e-10
 
 
 @dataclass
@@ -66,33 +68,33 @@ def _anchor(f: Functional, x0, r: float) -> Tuple[np.ndarray, float]:
     return x0, f_x0
 
 
-def _admissible(f: Functional, x0: np.ndarray, r: float, f_x0: float, y: np.ndarray):
-    """Return f(y) if y is admissible, else None."""
-    if np.linalg.norm(y - x0) >= r:
-        return None
-    fy = f.value(y)
-    if not (0.0 < fy <= f_x0):
-        return None
-    return fy
+def _ratio(s: float, fy: float) -> float:
+    """The alpha key |df|^2 / f from the slope s and the value fy."""
+    return INF if s == INF else s * s / fy
 
 
-def _refine_minimum(objective, y0: np.ndarray, h: float) -> Tuple[np.ndarray, float]:
-    """Local descent of a penalised objective around y0 within radius h."""
-    if y0.size == 1:
-        res = minimize_scalar(
-            lambda t: objective(np.array([t])),
-            bounds=(y0[0] - h, y0[0] + h),
-            method="bounded",
-            options={"xatol": 1e-10 * max(1.0, abs(y0[0]))},
-        )
-        return np.array([res.x]), float(res.fun)
-    res = minimize(
-        objective,
-        y0,
-        method="Nelder-Mead",
-        options={"maxiter": 80 * y0.size, "xatol": 1e-9, "fatol": 1e-12},
-    )
-    return np.asarray(res.x, dtype=float), float(res.fun)
+def _compass_search(scored, y0: np.ndarray, v0: float, h: float):
+    """Compass search for a smaller key from the sampled point y0 (key v0).
+
+    Each level probes y +- step * e_i along every axis; ``scored`` maps the
+    probe batch to (point, key) pairs for its admissible rows.  The search
+    moves to the best probe that strictly lowers the key, and otherwise
+    shrinks the step by 4, until the step is at most
+    ``REFINE_STEP_TOL * max(1, |y|)``.  It terminates: at a fixed step the
+    moves visit distinct lattice points inside the ball, and each move
+    strictly lowers the key, so each level ends and the step shrinks.
+    Returns the final point and its key.
+    """
+    axes = np.vstack([np.eye(y0.size), -np.eye(y0.size)])
+    y, v, step = y0, v0, h
+    while step > REFINE_STEP_TOL * max(1.0, float(np.linalg.norm(y))):
+        probes = scored(y + step * axes)
+        best = min(probes, key=lambda p: p[1], default=None)
+        if best is not None and best[1] < v:
+            y, v = best
+        else:
+            step /= 4.0
+    return y, v
 
 
 def _scan(
@@ -108,31 +110,27 @@ def _scan(
 
     Collects the infimum of the ratio |df|^2/f (alpha) and, when a parameter
     function is supplied, of the product theta'(f) * |df|; both are refined
-    by local descent around the three smallest sampled values.  The alpha
+    by compass search from the three smallest sampled values.  The alpha
     part does not depend on ``pf``.  ``alpha_sampling`` and ``sampling``
     say how the alpha part and the whole scan were computed.
     """
-    pts = ball_sample(x0, r, sample_count, seed)
-    pts = pts[row_norms(pts - x0) < r]
-    fys = f.values(pts)
-    keep = (0.0 < fys) & (fys <= f_x0)
     methods: set = set()
 
-    def slope(y, fy):
-        est = descending_slope(f, y, fx=fy)
-        methods.add(est.method)
-        return est.value
+    def admissible(pts):
+        """(point, f, slope) at each row of ``pts`` in the admissible set."""
+        pts = pts[row_norms(pts - x0) < r]
+        fys = f.values(pts)
+        keep = (0.0 < fys) & (fys <= f_x0)
+        out = []
+        # Python floats: theta' rounds ``**`` differently on numpy floats
+        for y, fy in zip(pts[keep], fys[keep].tolist()):
+            est = descending_slope(f, y, fx=fy)
+            methods.add(est.method)
+            out.append((y, fy, est.value))
+        return out
 
-    ratios: list = []
-    products: list = []
-    # Python floats: theta' rounds ``**`` differently on numpy floats
-    for y, fy in zip(pts[keep], fys[keep].tolist()):
-        s = slope(y, fy)
-        ratios.append((INF if s == INF else s * s / fy, y))
-        if pf is not None:
-            products.append((INF if s == INF else pf.theta_deriv(fy) * s, y))
-
-    out = {"n_admissible": len(ratios)}
+    sample = admissible(ball_sample(x0, r, sample_count, seed))
+    out = {"n_admissible": len(sample)}
     h = 4.0 * r * (sample_count ** (-1.0 / x0.size))
 
     def sampling() -> dict:
@@ -142,30 +140,22 @@ def _scan(
             "slope_method": "+".join(sorted(methods)) or None,
         }
 
-    def refined_min(entries, key_fn):
-        entries.sort(key=lambda e: e[0])
+    def refined_min(key):
+        def scored(pts):
+            return [(y, key(s, fy)) for y, fy, s in admissible(pts)]
+
+        entries = sorted(((key(s, fy), y) for y, fy, s in sample), key=lambda e: e[0])
         best_val, best_pt = entries[0]
         for val, y0 in entries[:3]:
             if val == INF:
                 continue
-
-            def penalised(y):
-                fy = _admissible(f, x0, r, f_x0, np.asarray(y, dtype=float))
-                if fy is None:
-                    return 1e18
-                return key_fn(np.asarray(y, dtype=float), fy)
-
-            y_ref, v_ref = _refine_minimum(penalised, y0, h)
-            if v_ref < best_val and v_ref < 1e17:
+            y_ref, v_ref = _compass_search(scored, y0, val, h)
+            if v_ref < best_val:
                 best_val, best_pt = v_ref, y_ref
         return best_val, best_pt
 
-    def ratio(y, fy):
-        s = slope(y, fy)
-        return INF if s == INF else s * s / fy
-
-    if ratios:
-        alpha, alpha_witness = refined_min(ratios, ratio)
+    if sample:
+        alpha, alpha_witness = refined_min(_ratio)
         out["alpha"] = max(float(alpha), 0.0)
         out["alpha_witness"] = alpha_witness
     else:
@@ -174,9 +164,9 @@ def _scan(
     out["alpha_sampling"] = sampling()
 
     if pf is not None:
-        if products:
+        if sample:
             prod, prod_witness = refined_min(
-                products, lambda y, fy: pf.theta_deriv(fy) * slope(y, fy)
+                lambda s, fy: INF if s == INF else pf.theta_deriv(fy) * s
             )
             out["min_product"] = float(prod)
             out["product_witness"] = prod_witness
@@ -278,11 +268,8 @@ def estimate_alpha(
     Returns +inf when the sampled admissible set is empty.  Requires
     0 < f(x0) < inf.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not (r > 0.0):
-        raise ValueError("radius must be positive")
-    f_x0 = f.value(x0)
-    if not (0.0 < f_x0 < INF):
+    x0, f_x0 = _anchor(f, x0, r)
+    if not (f_x0 > 0.0):
         raise ValueError("estimate_alpha requires 0 < f(x0) < inf")
     scan = _scan(f, x0, r, f_x0, None, sample_count, seed)
     return scan["alpha"]

@@ -45,6 +45,20 @@ def test_alpha_truncated_parabola_regimes():
     assert estimate_alpha(e.functional, x0, 1.5) == 0.0
 
 
+@pytest.mark.parametrize(
+    "cid,x0,r,exact,max_excess",
+    [
+        ("power-potential?p=1", 1.0, 1.0, 1.0, 1e-9),
+        ("staircase?m=1&eps=0.1", 2.0, 5.0, 10 / 21, 1e-9),
+        ("power-potential?p=4", 1.0, 0.5, 4.0, 1e-8),
+    ],
+)
+def test_alpha_estimate_reaches_the_exact_infimum(cid, x0, r, exact, max_excess):
+    # an estimate above the infimum errs toward a false pass
+    est = estimate_alpha(resolve_entry(cid).functional, np.array([x0]), r)
+    assert exact * (1.0 - 1e-15) <= est <= exact * (1.0 + max_excess)
+
+
 def test_condition_A_matched_quadratic_holds():
     e = resolve_entry("quadratic?lambda=1")
     pf = matched_half_power(2.0)
