@@ -199,7 +199,7 @@ class RunReport:
     flow_summary: Optional[dict] = None
     prox_summary: Optional[dict] = None
     recursion_summary: Optional[dict] = None
-    files: List[str] = field(default_factory=list)
+    files: List[str] = field(default_factory=list)  # names in the run directory
     notes: List[str] = field(default_factory=list)
     config: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
@@ -405,7 +405,7 @@ def _run_flow_mode(
             certs.append(opt)
     csv_path = run_dir / "trajectory.csv"
     trajectory_to_csv(traj, csv_path)
-    report.files.append(str(csv_path))
+    report.files.append(csv_path.name)
     monotone = bool(np.all(np.diff(traj.fs) <= 1e-12 * (1.0 + np.abs(traj.fs[:-1]))))
     report.flow_summary = plain(
         {
@@ -470,7 +470,7 @@ def _run_prox_mode(
     )
     csv_path = run_dir / "sequence.csv"
     sequence_to_csv(seq, csv_path)
-    report.files.append(str(csv_path))
+    report.files.append(csv_path.name)
     report.prox_summary = plain(
         {
             **limit_diagnostics(seq),
@@ -521,7 +521,7 @@ def _run_recursion_mode(
     )
     csv_path = run_dir / "recursion.csv"
     _write_cert_csv(cert, csv_path)
-    report.files.append(str(csv_path))
+    report.files.append(csv_path.name)
     report.recursion_summary = plain(
         {
             "k_max": k_max,
@@ -591,7 +591,7 @@ def run_experiment(
     report.certificates = [certificate_to_dict(c) for c in certs]
     live = [c for c in certs if not c.skipped and c.ts.size]
     if live:
-        report.files.extend(emit_plot_data(live, run_dir))
+        report.files.extend(Path(p).name for p in emit_plot_data(live, run_dir))
     failed_certs = [c.kind for c in certs if not c.skipped and not c.verdict]
     gates_ok = not failed_certs
     # the strict variants are diagnostic: budget-tight runs fail them while
@@ -616,7 +616,7 @@ def run_experiment(
     payload = plain({**asdict(report), "files": sorted(report.files)})
     report_path = run_dir / "report.json"
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    report.files.append(str(report_path))
+    report.files.append(report_path.name)
     return report
 
 

@@ -165,19 +165,22 @@ def test_flow_run_artifacts(tmp_path):
     "raw", [FLOW_CFG, PROX_CFG, RECURSION_CFG], ids=["flow", "prox", "recursion"]
 )
 def test_rerun_is_bit_identical(tmp_path, raw):
+    """A rerun, in place or under another output root, writes the same bytes."""
     cfg = ExperimentConfig.from_dict(raw)
-    run_experiment(cfg, output_root=tmp_path)
-    run_dir = tmp_path / raw["id"]
+    run_experiment(cfg, output_root=tmp_path / "one")
+    run_dir = tmp_path / "one" / raw["id"]
     csv_names = [p.name for p in run_dir.glob("*.csv")]
     first = {n: (run_dir / n).read_bytes() for n in csv_names}
     rep1 = json.loads((run_dir / "report.json").read_text())
-    run_experiment(cfg, output_root=tmp_path)
-    for n in csv_names:
-        assert (run_dir / n).read_bytes() == first[n], n
-    rep2 = json.loads((run_dir / "report.json").read_text())
     rep1.pop("wall_clock_s")
-    rep2.pop("wall_clock_s")
-    assert rep1 == rep2
+    for root in ("one", "two"):
+        run_experiment(cfg, output_root=tmp_path / root)
+        rerun_dir = tmp_path / root / raw["id"]
+        for n in csv_names:
+            assert (rerun_dir / n).read_bytes() == first[n], (root, n)
+        rep2 = json.loads((rerun_dir / "report.json").read_text())
+        rep2.pop("wall_clock_s")
+        assert rep1 == rep2, root
 
 
 def test_prox_run_artifacts(tmp_path):
