@@ -17,7 +17,9 @@ lambda with mu = lambda + 1/tau > 0 makes phi mu-strongly convex: one local
 solve from x with the analytic gradient of phi is certified when
 |grad phi(z)| / mu, which bounds the distance from z to the unique minimiser
 (Ambrosio-Gigli-Savare, Ch. 4), is at most POINT_TIE_TOL (1 + |z|).  Every
-other n-d case runs an uncertified multistart local optimisation.
+other n-d case runs an uncertified multistart local optimisation; it counts
+minimisers within MULTISTART_TIE_TOL (1 + |z|) as one, since a value-only
+local search stops anywhere in the flat region around a smooth minimum.
 
 The module also evaluates the De Giorgi variational-interpolation identity
 for a single step, per-step monotonicity/stationarity inequalities, the
@@ -56,6 +58,7 @@ ROOT_RTOL = 4.0 * EPS  #: relative tolerance of the 1-d root solve on phi' (scip
 ROOT_XTOL = 1e-18  #: absolute tolerance of that root solve, for minimisers near 0
 OBJECTIVE_TIE_TOL = 1e-10  #: relative objective gap of tied minimisers
 POINT_TIE_TOL = 1e-9  #: relative distance under which two minimisers are one
+MULTISTART_TIE_TOL = math.sqrt(EPS)  #: the same distance for the n-d multistart
 N_STARTS = 32  #: multistart count for dimension > 1
 DE_GIORGI_PANELS = 20  #: dyadic Gauss-Legendre panels of the De Giorgi integral
 DE_GIORGI_GRID = 257  #: n_grid of each resolvent inside that integral
@@ -265,15 +268,18 @@ def _refine_1d(
     return refined, f_at
 
 
-def _tied_minimisers(ranked: List[Tuple[float, np.ndarray]]):
-    """Best value of ``ranked`` (sorted by value), distinct tied points sorted."""
+def _tied_minimisers(ranked: List[Tuple[float, np.ndarray]], point_tol: float):
+    """Best value of ``ranked`` (sorted by value), distinct tied points sorted.
+
+    Points within ``point_tol`` (1 + |z|) of a kept point are not distinct.
+    """
     best = ranked[0][0]
     points: List[np.ndarray] = []
     for val, z in ranked:
         if val > best + OBJECTIVE_TIE_TOL * (1.0 + abs(best)):
             continue
         if all(
-            np.linalg.norm(z - w) > POINT_TIE_TOL * (1.0 + np.linalg.norm(z))
+            np.linalg.norm(z - w) > point_tol * (1.0 + np.linalg.norm(z))
             for w in points
         ):
             points.append(z)
@@ -310,7 +316,9 @@ def resolvent(
         ]
         refined, f_at = _refine_1d(f, xval, tau, grid, vals, cand)
         refined.sort()
-        best, points = _tied_minimisers([(val, np.array([z])) for val, z in refined])
+        best, points = _tied_minimisers(
+            [(val, np.array([z])) for val, z in refined], POINT_TIE_TOL
+        )
         return ResolventResult(
             points, float(best), [f_at[float(p[0])] for p in points], True, n_evals[0]
         )
@@ -344,7 +352,7 @@ def resolvent(
             res = minimize(phi, s, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})
         found.append((float(res.fun), np.asarray(res.x, dtype=float)))
     found.sort(key=lambda p: p[0])
-    best, points = _tied_minimisers(found)
+    best, points = _tied_minimisers(found, MULTISTART_TIE_TOL)
     return ResolventResult(
         points, best, [f.value(p) for p in points], False, n_evals[0]
     )

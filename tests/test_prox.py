@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import klflow.prox
-from klflow import resolve_entry
+from klflow import Functional, resolve_entry
 from klflow.core import pick_branch
 from klflow.corpus import make_power_potential, make_quadratic
 from klflow.prox import (
@@ -479,6 +479,20 @@ def test_value_path_without_a_gradient(entry_id, x, tau):
     for z, w in zip(res.points, exact):
         w = float(w[0])
         assert abs(float(z[0]) - w) <= (1e-7 * abs(w) if w else 1e-15)
+
+
+def test_value_only_multistart_reports_one_minimiser():
+    # phi is strictly convex, but each Nelder-Mead start stops somewhere in
+    # the region of width about sqrt(eps) (1 + |z|) where phi is flat to rounding
+    q = resolve_entry("quadratic?lambda=1&center=0,0").functional
+    f = Functional(label="value-only quadratic", value=q.value, backend=q.backend,
+                   batch_value=q.batch_value)
+    res = resolvent(f, np.array([1.0, 0.5]), 0.5)
+    (z,) = res.points
+    assert not res.certified
+    assert np.linalg.norm(z - np.array([2.0, 1.0]) / 3.0) <= 1e-7
+    seq = run_prox_sequence(f, np.array([1.0, 0.5]), 0.5, n_steps=5)
+    assert [s.n_candidates for s in seq.steps] == [1] * 5
 
 
 def test_a_kink_hiding_the_sign_change_takes_a_half_bracket():
