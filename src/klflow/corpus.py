@@ -52,10 +52,6 @@ class BruteForceResult:
         return min(float(np.linalg.norm(q - c)) for c in cands)
 
 
-def _scalar_center(center) -> np.ndarray:
-    return as_point(center)
-
-
 def _float_pow(base: np.ndarray, p: float) -> np.ndarray:
     """``b ** p`` on each element as a Python float.
 
@@ -71,7 +67,7 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
     lam = float(lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    c = _scalar_center(center)
+    c = as_point(center)
     backend = EuclideanBackend(c.size)
 
     def value(x):
@@ -447,7 +443,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
     scale = float(scale)
     if p < 1.0 or scale <= 0.0:
         raise ValueError("need p >= 1 and scale > 0")
-    c = _scalar_center(center)
+    c = as_point(center)
     backend = EuclideanBackend(c.size)
 
     def value(x):

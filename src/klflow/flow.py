@@ -379,8 +379,9 @@ def _sample_speeds(ts: np.ndarray, xs: np.ndarray, segs: np.ndarray) -> np.ndarr
 def verify_ede(traj: Trajectory) -> EdeReport:
     """Residuals of the dissipation equality -d(f o y)/dt = |y'|^2 = |df|^2.
 
-    Uses centred difference quotients on interior samples of each segment
-    and the slopes recorded on the trajectory; no oracle is called.
+    Uses centred difference quotients of f on interior samples of each
+    segment, and the speeds and slopes recorded on the trajectory there; no
+    oracle is called.
     In absorbed runs only triples at or before t* enter: past the absorption
     threshold the tail is frozen by construction and carries no information
     about the arc.  Both the inequality-form residual (against the mean of
@@ -394,7 +395,7 @@ def verify_ede(traj: Trajectory) -> EdeReport:
     i = np.flatnonzero(interior) + 1
     dt = dt[interior]
     dfdt = (fsv[i + 1] - fsv[i - 1]) / dt
-    sp = row_norms(traj.xs[i + 1] - traj.xs[i - 1]) / dt
+    sp = traj.speeds[i]
     sl = traj.slopes[i]
     resid = np.abs(-dfdt - 0.5 * sp * sp - 0.5 * sl * sl)
     spread = np.ptp([-dfdt, sp * sp, sl * sl], axis=0)

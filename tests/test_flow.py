@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from klflow import resolve_entry
+from klflow import Functional, resolve_entry
 from klflow.core import pick_branch
 from klflow.flow import (
     PROBE_DELTA,
@@ -36,6 +36,20 @@ def test_quadratic_matches_exponential_decay(quad_traj):
     for t, fv in zip(quad_traj.ts, quad_traj.fs):
         exact = 0.5 * math.exp(-2.0 * t)
         assert abs(fv - exact) <= 1e-8 * exact
+
+
+@pytest.mark.parametrize(
+    "fid, x0", [("quadratic?lambda=1", [1.0]), ("quadratic?lambda=1&center=0,0", [1.0, 0.5])]
+)
+def test_finite_difference_gradient_follows_the_closed_form(fid, x0):
+    # with no gradient oracle the integrator takes central differences of f
+    e = resolve_entry(fid)
+    f = Functional(label=f"value-only {fid}", value=e.functional.value,
+                   backend=e.functional.backend, batch_value=e.functional.batch_value)
+    tr = integrate_maximal_slope(f, np.array(x0), t_end=3.0)
+    exact = e.analytic_trajectory(np.array(x0))(float(tr.ts[-1]))
+    assert tr.ts[-1] == 3.0
+    assert np.linalg.norm(tr.xs[-1] - exact) <= 1e-9
 
 
 def test_trajectory_invariants(quad_traj):
