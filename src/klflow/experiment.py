@@ -482,8 +482,8 @@ def _run_prox_mode(
                 (m["stationarity_margin"] for m in mono), default=math.inf
             ),
             "policy": seq.policy,
-            # steps whose resolvent is not certified: an n-d multistart,
-            # used where no declared convexity modulus certifies one start
+            # steps whose resolvent is not certified: an n-d multistart (no
+            # modulus), or a single start that no gradient bound certifies
             "uncertified_steps": sum(not s.certified for s in seq.steps),
             "resolvent_evals": sum(s.n_evals for s in seq.steps),
         }

@@ -2,24 +2,24 @@
 
 The resolvent of f at x with step tau minimises phi(z) = f(z) + d(x,z)^2 /
 (2 tau).  Since f >= 0 on the benchmark corpus, any minimiser lies in the
-ball of radius sqrt(2 tau f(x)) around x, so in one dimension a dense scan
-of that interval followed by bracketed refinement is an exhaustive, certified
-solve.  Each candidate bracket is refined by one root solve of phi'(z) =
-f'(z) + (z - x)/tau where it changes sign from - to + (across the bracket or
-one of its halves), which places a smooth or kink minimiser to about
-4 eps |z|, and otherwise by golden section on phi to about 1 ulp.  That value
-path pins kinks and jumps, but phi is flat to rounding over about
+ball of radius sqrt(2 tau f(x)) around x.  A functional that declares a
+convexity modulus lambda with mu = lambda + 1/tau > 0 makes phi mu-strongly
+convex, so phi has one minimiser there and the resolvent makes one solve in
+every dimension (Ambrosio-Gigli-Savare, Ch. 2 and 4).  In one dimension the
+box is scanned (on 3 points when phi is strongly convex, else on n_grid)
+and each candidate bracket is refined by one root solve of phi'(z) =
+f'(z) + (z - x)/tau where it changes sign from - to + (across the bracket
+or one of its halves), which places a smooth or kink minimiser to about
+4 eps |z|, and otherwise by golden section on phi to about 1 ulp.  That
+value path pins kinks and jumps, but phi is flat to rounding over about
 sqrt(eps) |z| around a smooth minimum, so no value-only bracket places one
-closer than about 1e-8 relative.
-
-In several dimensions a functional that declares a convexity modulus
-lambda with mu = lambda + 1/tau > 0 makes phi mu-strongly convex: one local
-solve from x with the analytic gradient of phi is certified when
-|grad phi(z)| / mu, which bounds the distance from z to the unique minimiser
-(Ambrosio-Gigli-Savare, Ch. 4), is at most POINT_TIE_TOL (1 + |z|).  Every
-other n-d case runs an uncertified multistart local optimisation; it counts
-minimisers within MULTISTART_TIE_TOL (1 + |z|) as one, since a value-only
-local search stops anywhere in the flat region around a smooth minimum.
+closer than about 1e-8 relative.  In several dimensions a strongly convex
+phi takes one local solve from x, certified when |grad phi(z)| / mu, which
+bounds the distance from z to the minimiser, is at most POINT_TIE_TOL
+(1 + |z|) (never at a kink, which has no gradient).  Without a modulus an
+uncertified multistart counts minimisers within MULTISTART_TIE_TOL
+(1 + |z|) as one, since a value-only local search stops anywhere in the
+flat region around a smooth minimum.
 
 The module also evaluates the De Giorgi variational-interpolation identity
 for a single step, per-step monotonicity/stationarity inequalities, the
@@ -91,9 +91,9 @@ class ResolventResult:
     points: List[np.ndarray]  # objective-tied minimisers, sorted
     objective: float
     f_values: List[float]  # f.value at each point, as the oracle returned it
-    # True when found by the exhaustive 1-d scan, or in several dimensions
-    # by a single start whose gradient bound places it within
-    # POINT_TIE_TOL (1 + |z|) of the unique minimiser of a strongly convex phi
+    # 1-d: always True (for a strongly convex phi by convexity, else on the
+    # scan grid resolving every basin); n-d: True when the gradient bound puts
+    # the single start of a strongly convex phi within POINT_TIE_TOL (1 + |z|)
     certified: bool
     n_evals: int  # points at which the value oracle was evaluated
 
@@ -303,11 +303,16 @@ def resolvent(
     if fx == 0.0:
         return ResolventResult([x.copy()], 0.0, [0.0], True, n_evals[0])
     radius = math.sqrt(2.0 * tau * fx) * (1.0 + BOX_SLACK)
+    # mu = lambda + 1/tau (-inf with no modulus); mu > 0 makes phi mu-strongly
+    # convex: one minimiser, and |grad phi(z)| / mu bounds the distance to it
+    mu = -INF if f.convexity is None else f.convexity + 1.0 / tau
 
     if x.size == 1:
         xval = float(x[0])
+        # strongly convex: f >= 0 gives phi(x) < radius^2/(2 tau) <= phi(x +- radius),
+        # so 3 points make the whole box one bracket, on which phi is unimodal
         scan = dense_scan(
-            _phi_batch(f, xval, tau), xval - radius, xval + radius, c.n_grid
+            _phi_batch(f, xval, tau), xval - radius, xval + radius, 3 if mu > 0 else c.n_grid
         )
         grid, vals = scan.grid, scan.values
         best_grid = vals.min()
@@ -323,30 +328,25 @@ def resolvent(
             points, float(best), [f_at[float(p[0])] for p in points], True, n_evals[0]
         )
 
-    jac = _phi_gradient(f, x, tau, phi) if f.smooth_gradient is not None else None
-    mu = None if f.convexity is None else f.convexity + 1.0 / tau
-    if jac is not None and mu is not None and mu > 0:
-        # phi is mu-strongly convex, so |grad phi(z)| / mu bounds the distance
-        # from z to the unique minimiser.  The stop rule asks for a max-norm
-        # gradient that makes this bound at most POINT_TIE_TOL.
+    jac = _phi_gradient(f, x, tau, phi)
+    if mu > 0:
+        # one start; the stop rule asks for a max-norm gradient that makes the
+        # distance bound at most POINT_TIE_TOL, which certifies z if grad f(z) exists
         gtol = POINT_TIE_TOL * mu / math.sqrt(x.size)
         res = minimize(
             phi, x, jac=jac, method="L-BFGS-B", options={"gtol": gtol, "ftol": 0.0}
         )
         z = np.asarray(res.x, dtype=float)
         g = f.gradient(z)
-        if g is not None:
-            dist_bound = float(np.linalg.norm(g + (z - x) / tau)) / mu
-            if dist_bound <= POINT_TIE_TOL * (1.0 + float(np.linalg.norm(z))):
-                return ResolventResult(
-                    [z], float(res.fun), [f.value(z)], True, n_evals[0]
-                )
+        bound = INF if g is None else float(np.linalg.norm(g + (z - x) / tau)) / mu
+        certified = bound <= POINT_TIE_TOL * (1.0 + float(np.linalg.norm(z)))
+        return ResolventResult([z], float(res.fun), [f.value(z)], certified, n_evals[0])
 
-    # otherwise: multistart local minimisation inside the box
+    # no modulus: multistart local minimisation inside the box
     starts = [x.copy()] + list(ball_sample(x, radius, N_STARTS))
     found: List[Tuple[float, np.ndarray]] = []
     for s in starts:
-        if jac is not None and f.gradient(s) is not None:
+        if f.gradient(s) is not None:
             res = minimize(phi, s, jac=jac, method="L-BFGS-B")
         else:
             res = minimize(phi, s, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})

@@ -524,7 +524,9 @@ def test_each_ball_is_scanned_once_per_run(tmp_path, monkeypatch):
 def test_prox_summary_reports_resolvent_facts(tmp_path):
     one_d = run_experiment(ExperimentConfig.from_dict(PROX_CFG), output_root=tmp_path)
     assert one_d.prox_summary["uncertified_steps"] == 0
-    assert one_d.prox_summary["resolvent_evals"] > 1025
+    # four steps reach the kink; the cone declares convexity 0, so each
+    # resolvent evaluates 3 grid points, f(x) and one refined point
+    assert one_d.prox_summary["resolvent_evals"] == 4 * 5
     two_d = ExperimentConfig.from_dict(
         {
             "id": "q2d",
@@ -541,7 +543,7 @@ def test_prox_summary_reports_resolvent_facts(tmp_path):
     header = (tmp_path / "q2d" / "sequence.csv").read_text().splitlines()[0]
     assert header == "k,x_1,x_2,f,dist_step,slope,de_giorgi_residual"
     # the cone's resolvent from here is its kink, where no gradient certifies
-    # the single start, so both steps fall back to the multistart
+    # the single start; that step lands on the centre, so the run stops there
     cone = ExperimentConfig.from_dict(
         {
             "id": "cone2d",
@@ -553,8 +555,9 @@ def test_prox_summary_reports_resolvent_facts(tmp_path):
         }
     )
     rep = run_experiment(cone, output_root=tmp_path)
-    assert rep.prox_summary["uncertified_steps"] == 2
-    assert {c["details"]["uncertified_steps"] for c in rep.certificates} == {2}
+    assert rep.prox_summary["uncertified_steps"] == 1
+    assert rep.prox_summary["stop_reason"] == "f-tolerance"
+    assert {c["details"]["uncertified_steps"] for c in rep.certificates} == {1}
 
 
 def test_cli_suite_and_list(tmp_path, capsys):

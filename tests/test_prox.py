@@ -396,9 +396,10 @@ def _count_points(f):
 @pytest.mark.parametrize(
     "entry_id, x, expected",
     [
-        # 1025 grid points, f(x), and f at the one root of phi'
-        ("quadratic?lambda=1", [1.0], 1027),
-        ("double-well", [0.0], 1028),  # two tied minimisers, one root each
+        # strongly convex phi: 3 grid points, f(x), and f at the one root of phi'
+        ("quadratic?lambda=1", [1.0], 5),
+        # no modulus: 1025 grid points, f(x), two tied minimisers, one root each
+        ("double-well", [0.0], 1028),
         ("quadratic?center=0,0", [1.0, 0.5], None),  # multistart branch
         # certified single start: f(x), 3 L-BFGS-B points, f(z)
         ("quadratic?center=0,0", [1.0, 0.5], 5),
@@ -456,6 +457,35 @@ def test_1d_resolvent_matches_the_closed_form(entry_id, policy, x, tau):
     exact = pick_branch(e.analytic_resolvent(x, tau), policy, x)
     assert res.certified
     assert abs(float(z[0] - exact[0])) <= 1e-14 * (1.0 + abs(float(z[0])))
+
+
+@given(
+    entry_id=st.sampled_from(
+        [
+            "quadratic",
+            "power-potential?p=1",
+            "power-potential?p=1.5",
+            "power-potential?p=2",
+            "power-potential?p=4",
+        ]
+    ),
+    x=st.floats(-3.0, 3.0),
+    tau=st.floats(0.01, 3.0),
+)
+def test_convex_1d_resolvent_does_not_depend_on_n_grid(entry_id, x, tau):
+    # a declared modulus makes phi strongly convex, so the box is one bracket
+    # whatever n_grid asks for
+    e = resolve_entry(entry_id)
+    x = np.array([x])
+    results = [resolvent(e.functional, x, tau, ProxControls(n_grid=n)) for n in (3, 33, 1025)]
+    for res in results:
+        (z,) = res.points
+        assert res.certified
+        assert _bits(z) == _bits(results[0].points[0])
+        assert _bits(res.f_values) == _bits(results[0].f_values)
+    (exact,) = e.analytic_resolvent(x, tau)
+    z = float(results[0].points[0][0])
+    assert abs(z - float(exact[0])) <= 1e-14 * (1.0 + abs(z))
 
 
 @pytest.mark.parametrize(
@@ -587,6 +617,11 @@ def test_undeclared_convexity_takes_the_multistart(monkeypatch):
     assert np.linalg.norm(res.points[0] - [2.0 / 3.0, 1.0 / 3.0]) < 1e-9
     certified = resolvent(f, np.array([1.0, 0.5]), 0.5)
     assert len(calls) == 1 and certified.certified
+    # a declared modulus takes one start without a gradient oracle too, on a
+    # forward difference of phi, which no gradient bound certifies
+    value_only = resolvent(dataclasses.replace(f, smooth_gradient=None), np.array([1.0, 0.5]), 0.5)
+    assert len(calls) == 1 and not value_only.certified
+    assert np.linalg.norm(value_only.points[0] - [2.0 / 3.0, 1.0 / 3.0]) < 1e-7
 
 
 @pytest.mark.parametrize(
@@ -596,7 +631,9 @@ def test_undeclared_convexity_takes_the_multistart(monkeypatch):
         [0.5, 0.0],  # a line search lands exactly on the kink, where phi has no gradient
     ],
 )
-def test_kink_resolvent_falls_back_to_the_multistart(monkeypatch, x):
+def test_kink_resolvent_takes_one_uncertified_start(monkeypatch, x):
+    # phi is strongly convex, so the single start stands although its
+    # gradient bound cannot certify a minimiser on the kink
     e = resolve_entry("power-potential?p=1&center=0,0")
     x = np.array(x)  # |x| <= tau, so the soft threshold lands on the centre
     assert e.analytic_resolvent(x, 0.5)[0].tolist() == [0.0, 0.0]
@@ -604,9 +641,10 @@ def test_kink_resolvent_falls_back_to_the_multistart(monkeypatch, x):
     counted, seen = _count_points(e.functional)
     calls = _count_multistarts(monkeypatch)
     res = resolvent(counted, x, 0.5)
-    assert len(calls) == 1 and not res.certified
+    assert not calls and not res.certified
     assert res.n_evals == len(seen)
-    assert np.linalg.norm(res.points[0]) < 1e-9
+    (z,) = res.points
+    assert np.linalg.norm(z) <= 1e-14
 
 
 def test_q2d_prox_rests_on_certified_resolvents():
