@@ -131,6 +131,27 @@ class ExperimentConfig:
             for key in ("alpha", "delta", "f0"):
                 check_real(f"recursion {key}", self.recursion[key])
             check_int("recursion k_max", self.recursion["k_max"], least=0)
+        if self.mode == "recursion":
+            return
+        # what a run derives before its first scan: the entry, x0 of its
+        # dimension, theta, r, and tau in prox mode
+        try:
+            entry = resolve_entry(self.functional)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"run {self.run_id!r}: {exc.args[0]}") from None
+        if self.x0 is None:
+            raise ValueError(f"run {self.run_id!r}: x0 is required")
+        x0 = as_point(self.x0)
+        dim = entry.functional.backend.dimension
+        if x0.size != dim:
+            raise ValueError(
+                f"run {self.run_id!r}: x0 has {x0.size} coordinates, "
+                f"but {self.functional!r} is {dim}-dimensional"
+            )
+        _theta_for(self, entry, x0)
+        _radius_for(self, entry, x0)
+        if self.mode == "prox" and self.tau is None:
+            raise ValueError(f"run {self.run_id!r}: prox mode needs tau")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -555,13 +576,10 @@ def run_experiment(
 
     entry = resolve_entry(config.functional) if config.functional else None
     if config.mode in ("condition", "flow", "prox", "all"):
-        if config.x0 is None:
-            raise ValueError(f"run {config.run_id!r}: x0 is required")
+        # ExperimentConfig checked x0, theta and r at load
         x0 = as_point(config.x0)
         pf = _theta_for(config, entry, x0)
         r = _radius_for(config, entry, x0)
-        if config.mode == "prox" and config.tau is None:
-            raise ValueError(f"run {config.run_id!r}: prox mode needs tau")
         report.notes.append(
             f"theta: family={pf.family} c={pf.c} gamma={pf.gamma} r={r}"
         )

@@ -62,6 +62,10 @@ def test_from_dict_rejects_bad_input():
         ExperimentConfig.from_dict({"id": "x", "mode": "warp", "functional": "quadratic"})
     with pytest.raises(ValueError, match="functional"):
         ExperimentConfig.from_dict({"id": "x", "mode": "flow"})
+    # x0 must have the functional's dimension
+    with pytest.raises(ValueError, match=r"'q-flow': x0 has 2 coordinates, but "
+                       r"'quadratic\?lambda=1' is 1-dimensional"):
+        ExperimentConfig.from_dict(dict(FLOW_CFG, x0=[1.0, 2.0]))
     # recursion runs do not reference a functional
     ExperimentConfig.from_dict(RECURSION_CFG)
     # nested blocks: unknown keys are rejected with the valid ones listed,
@@ -438,6 +442,23 @@ def test_suite_checks_prox_schedules_before_any_run(tmp_path, capsys):
     assert cli_main(["suite", str(manifest), "--output", str(out)]) == 2
     assert "theta needs keys ['gamma']" in capsys.readouterr().err
     assert not (out / "a-flow").exists() and not (out / "suite_report.json").exists()
+    # and the inputs a run derives before its first scan, which used to fail
+    # only once a-flow had written its files and the bad run its directory
+    no_tau = {k: v for k, v in PROX_CFG.items() if k != "tau"}
+    no_x0 = {k: v for k, v in FLOW_CFG.items() if k != "x0"}
+    for bad, message in [
+        (no_tau, "'b-bad': prox mode needs tau"),
+        (no_x0, "'b-bad': x0 is required"),
+        (dict(FLOW_CFG, functional="nosuch"), "'b-bad': unknown corpus id 'nosuch'"),
+        (
+            dict(FLOW_CFG, functional="asymmetric-double-well"),
+            "'b-bad': no theta given and the corpus entry has no match",
+        ),
+    ]:
+        manifest.write_text(yaml.safe_dump([dict(FLOW_CFG, id="a-flow"), dict(bad, id="b-bad")]))
+        assert cli_main(["suite", str(manifest), "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
     # and a misspelt tolerance, which used to be ignored
     typo = tmp_path / "typo.yaml"
     typo.write_text(yaml.safe_dump(dict(FLOW_CFG, tolerances={"certificat": 1e-9})))
