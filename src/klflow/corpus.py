@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .core import (
     EuclideanBackend, Functional, as_point, dense_scan, pick_branch, row_norms
@@ -474,6 +473,8 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
             return max(d - tau * scale, 0.0)
         if p == 2.0:
             return d / (1.0 + 2.0 * tau * scale)
+        from scipy.optimize import brentq
+
         g = lambda rho: rho + tau * scale * p * rho ** (p - 1.0) - d
         return brentq(g, 0.0, d, xtol=1e-15, rtol=8.9e-16)
 
@@ -609,6 +610,8 @@ def brute_force_minimiser(entry: CorpusEntry) -> BruteForceResult:
     ``on_boundary`` flags an argmin at the box edge, which makes the result
     inconclusive as a global statement.
     """
+    from scipy.optimize import minimize_scalar
+
     f = entry.functional
     if f.backend.dimension != 1:
         raise ValueError("brute_force_minimiser supports 1-D functionals")

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import approx_fprime, brentq, minimize
 
 from .certificates import (
     DEFAULT_CERT_TOL, RateCertificate, certificate, skipped_certificate,
@@ -165,6 +164,8 @@ def _phi_gradient(f: Functional, x: np.ndarray, tau: float, phi):
     def jac(z: np.ndarray) -> np.ndarray:
         g = f.gradient(z)
         if g is None:
+            from scipy.optimize import approx_fprime
+
             return approx_fprime(z, phi)
         return g + (z - x) / tau
 
@@ -229,6 +230,8 @@ def _refine_1d(
     Returns (phi(z), z) per candidate and f at each refined z; no point is
     evaluated twice.
     """
+    from scipy.optimize import brentq
+
     f_at: Dict[float, float] = {}
 
     def phi(z: float) -> float:
@@ -327,6 +330,8 @@ def resolvent(
         return ResolventResult(
             points, float(best), [f_at[float(p[0])] for p in points], True, n_evals[0]
         )
+
+    from scipy.optimize import minimize
 
     jac = _phi_gradient(f, x, tau, phi)
     if mu > 0:
@@ -625,6 +630,8 @@ def ioffe_distance_check(
     the bound to be a theorem; the empirical strip minimum of the sampled
     slope is reported alongside so callers can audit that premise.
     """
+    from scipy.optimize import brentq
+
     x = as_point(x)
     if x.size != 1:
         raise ValueError("the scan-based check is one dimensional")
@@ -747,6 +754,8 @@ def recursion_equality_sequence(params: RecursiveBoundParams, n: int) -> np.ndar
 
     Closed stable forms for delta in {1/2, 1, 2}, bracketed root otherwise.
     """
+    from scipy.optimize import brentq
+
     a, d = params.alpha, params.delta
     out = np.empty(n + 1)
     out[0] = params.f0

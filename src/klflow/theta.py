@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.integrate import quad
-
 from .core import INF
 
 #: probe argument used to decide whether theta is onto [0, inf)
@@ -123,6 +121,8 @@ def eta_eval(pf: ParameterFunction, u: float) -> float:
             return -c * c / p if p > 0.0 else -INF
         return c * c / p * (u**p - 1.0)
     # custom parameter function: quadrature from 1 to u
+    from scipy.integrate import quad
+
     integrand = lambda s: pf.theta_deriv(s) ** 2
 
     def integrate(lo: float, hi: float) -> float:

@@ -1,0 +1,80 @@
+"""What importing and loading klflow costs: no scipy until a solver needs it.
+
+The pytest process has imported scipy already, so each check runs in a fresh
+interpreter.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import klflow
+
+SRC = str(Path(klflow.__file__).resolve().parents[1])
+
+SCRIPT = r"""
+import io, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+tmp = sys.argv[1]
+loaded = {}
+
+import klflow
+loaded["import"] = scipy_modules()
+
+from klflow.corpus import resolve_entry
+from klflow.experiment import load_manifest
+
+with open(tmp + "/manifest.yaml", "w") as fh:
+    fh.write(
+        "runs:\n"
+        "  - {id: a-flow, mode: flow, functional: 'quadratic?lambda=1', x0: 1.0, r: 1.0, horizon: 1.0}\n"
+        "  - {id: b-prox, mode: prox, functional: 'double-well', x0: 0.5, r: 1.0, tau: 0.1, n_steps: 5}\n"
+        "  - {id: c-cond, mode: condition, functional: 'power-potential?p=4&center=0,0,0', x0: [0.5, 0.0, 0.0], r: 0.5}\n"
+        "  - {id: d-rec, mode: recursion, recursion: {alpha: 1.0, delta: 0.7, f0: 1.0, k_max: 20}}\n"
+    )
+configs = load_manifest(tmp + "/manifest.yaml")
+for cfg in configs:
+    if cfg.functional:
+        resolve_entry(cfg.functional)
+loaded["load"] = scipy_modules()
+
+from klflow.cli import main
+with redirect_stdout(io.StringIO()):
+    assert main(["list-corpus"]) == 0
+loaded["list-corpus"] = scipy_modules()
+
+with open(tmp + "/bad.yaml", "w") as fh:
+    fh.write("id: bad\nmode: flow\nfunctional: quadratic\nx0: 1.0\nflow_controls: {policy: sideways}\n")
+with redirect_stderr(io.StringIO()):
+    assert main(["run", tmp + "/bad.yaml", "--output", tmp + "/out"]) == 2
+loaded["exit-2"] = scipy_modules()
+
+from klflow.prox import resolvent
+resolvent(resolve_entry("double-well").functional, 0.5, 0.1)
+loaded["resolvent"] = scipy_modules()
+print(repr(loaded))
+"""
+
+
+def test_scipy_loads_only_where_it_is_used(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    for step in ("import", "load", "list-corpus", "exit-2"):
+        assert loaded[step] == [], (step, loaded[step])
+    # a 1-D resolvent solves with brentq, imported on first use
+    assert "scipy.optimize" in loaded["resolvent"]
+    assert not any(m.startswith("scipy.stats") for m in loaded["resolvent"])
