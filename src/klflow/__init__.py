@@ -35,10 +35,8 @@ from .flow import (
     Trajectory,
     certify_power_family,
     certify_rates_continuous,
-    glue_trajectories,
     improved_sqrt_distance_bound,
     integrate_maximal_slope,
-    trajectory_from_csv,
     trajectory_to_csv,
     verify_ede,
 )
@@ -63,17 +61,9 @@ from .prox import (
     run_prox_sequence,
     sequence_to_csv,
 )
-from .slope import (
-    SlopeEstimate,
-    chain_rule_slope,
-    descending_slope,
-    metric_speed,
-    sampled_slope,
-)
+from .slope import SlopeEstimate, descending_slope, sampled_slope
 from .theta import (
-    AuxiliaryFunctions,
     ParameterFunction,
-    auxiliary_functions,
     eta_eval,
     gamma_eval,
     make_power_theta,
@@ -83,7 +73,6 @@ from .theta import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryFunctions",
     "BruteForceResult",
     "ConditionReport",
     "CorpusEntry",
@@ -105,13 +94,11 @@ __all__ = [
     "SuiteReport",
     "Trajectory",
     "as_point",
-    "auxiliary_functions",
     "brute_force_minimiser",
     "certify_power_family",
     "certify_power_rates_discrete",
     "certify_rates_continuous",
     "certify_rates_discrete",
-    "chain_rule_slope",
     "check_condition_A",
     "check_condition_C",
     "check_step_monotonicity",
@@ -121,7 +108,6 @@ __all__ = [
     "estimate_alpha",
     "eta_eval",
     "gamma_eval",
-    "glue_trajectories",
     "improved_sqrt_distance_bound",
     "integrate_maximal_slope",
     "ioffe_distance_check",
@@ -129,7 +115,6 @@ __all__ = [
     "list_corpus",
     "make_power_theta",
     "matched_half_power",
-    "metric_speed",
     "one_step_decay_check",
     "recursion_equality_sequence",
     "recursive_bound",
@@ -142,7 +127,6 @@ __all__ = [
     "sampled_slope",
     "sequence_to_csv",
     "theta_inverse",
-    "trajectory_from_csv",
     "trajectory_to_csv",
     "verify_ede",
 ]

@@ -323,7 +323,8 @@ def make_staircase(m: float = 1.0, eps: float = 0.1) -> CorpusEntry:
         v0 = float(as_point(x0)[0])
 
         def curve(t: float) -> np.ndarray:
-            return np.array([max(v0 - m * t, 0.0)])
+            # the minimising plateau x <= 0 is stationary
+            return np.array([v0 if v0 <= 0 else max(v0 - m * t, 0.0)])
 
         return curve
 

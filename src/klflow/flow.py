@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +50,6 @@ KINK_KICK = 1e-9  #: displacement used to leave a descent kink, times max(1, |x|
 PROBE_DELTA = 1e-7  #: one-sided probe length at a kink, times max(1, |x|)
 FD_PROBE = 1e-6  #: central-difference step of the gradient when f has no gradient oracle
 PAIR_COUNT = 40  #: samples whose pairs the theta-distance certificate checks
-ENDPOINT_TOL = 1e-6  #: largest gap between glued pieces' shared endpoints
 
 
 @dataclass
@@ -667,76 +666,6 @@ def improved_sqrt_distance_bound(
     )
 
 
-def glue_trajectories(
-    pieces: Sequence[Trajectory],
-    pf: ParameterFunction,
-    x0,
-    r: float,
-    tol: float = DEFAULT_CERT_TOL,
-) -> Tuple[Trajectory, List[RateCertificate]]:
-    """Concatenate descent arcs end-to-start and certify the glued object.
-
-    Consecutive pieces must share endpoints within ``ENDPOINT_TOL``.  The
-    result is flagged as glued (it is a concatenation, not a single
-    maximal-slope arc); the certificates produced are the ones that survive
-    gluing: telescoped theta-distance, Gamma/eta decay, confinement.
-    """
-    if not pieces:
-        raise ValueError("need at least one trajectory piece")
-    for a, b in zip(pieces, pieces[1:]):
-        gap = float(np.linalg.norm(a.xs[-1] - b.xs[0]))
-        if gap > ENDPOINT_TOL:
-            raise ValueError(
-                f"segment endpoints do not meet: gap {gap:.3e} > {ENDPOINT_TOL:.1e}"
-            )
-    ts_parts = []
-    seg_parts = []
-    offset = 0.0
-    seg_offset = 0
-    boundaries: List[float] = []
-    for k, piece in enumerate(pieces):
-        local = piece.ts - piece.ts[0]
-        ts_parts.append(local + offset)
-        seg_parts.append(piece.segments + seg_offset)
-        boundaries.extend((b - piece.ts[0]) + offset for b in piece.segment_boundaries)
-        offset += float(local[-1])
-        seg_offset = int(seg_parts[-1].max()) + 1
-        if k < len(pieces) - 1:
-            boundaries.append(offset)
-    ts = np.concatenate(ts_parts)
-    xs = np.vstack([p.xs for p in pieces])
-    fsv = np.concatenate([p.fs for p in pieces])
-    slopes = np.concatenate([p.slopes for p in pieces])
-    segs = np.concatenate(seg_parts)
-    # drop duplicated glue samples (zero-length time steps confuse quotients)
-    keep = np.ones(ts.size, dtype=bool)
-    keep[1:] = np.diff(ts) > 0
-    ts, xs, fsv, slopes, segs = ts[keep], xs[keep], fsv[keep], slopes[keep], segs[keep]
-    f_tol = min(p.f_tol for p in pieces)
-    below = np.nonzero(fsv <= f_tol)[0]
-    traj = Trajectory(
-        ts=ts,
-        xs=xs,
-        fs=fsv,
-        slopes=slopes,
-        speeds=_sample_speeds(ts, xs, segs),
-        segments=segs,
-        x0=as_point(x0),
-        t_end=float(ts[-1]),
-        segment_boundaries=boundaries,
-        limit_point=xs[-1].copy(),
-        t_star=float(ts[below[0]]) if below.size else None,
-        absorbed=bool(below.size),
-        equilibrium=any(p.equilibrium for p in pieces),
-        glued=True,
-        budget_mode=pieces[-1].budget_mode,
-        f_tol=f_tol,
-        diagnostics={"pieces": len(pieces)},
-    )
-    certs = certify_rates_continuous(traj, pf, x0, r, tol=tol)
-    return traj, certs
-
-
 # ---------------------------------------------------------------------------
 # CSV export
 
@@ -753,44 +682,4 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
             "speed": traj.speeds,
             "segment": traj.segments.astype(int),
         },
-    )
-
-
-def trajectory_from_csv(path) -> Trajectory:
-    """Rebuild a trajectory from its CSV export (bitwise round trip).
-
-    Flow metadata that is not serialized (absorption flags, budget mode) is
-    reconstructed conservatively from the samples.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    dim = sum(1 for name in header if name.startswith("x_"))
-    data = np.array([[float(v) for v in row] for row in rows])
-    ts = data[:, 0]
-    xs = data[:, 1 : 1 + dim]
-    fsv = data[:, 1 + dim]
-    slopes = data[:, 2 + dim]
-    speeds = data[:, 3 + dim]
-    segs = data[:, 4 + dim].astype(int)
-    below = np.nonzero(fsv <= F_TOL)[0]
-    seg_changes = np.nonzero(np.diff(segs) != 0)[0]
-    return Trajectory(
-        ts=ts,
-        xs=xs,
-        fs=fsv,
-        slopes=slopes,
-        speeds=speeds,
-        segments=segs,
-        x0=xs[0].copy(),
-        t_end=float(ts[-1]),
-        segment_boundaries=[float(ts[i + 1]) for i in seg_changes],
-        limit_point=xs[-1].copy(),
-        t_star=float(ts[below[0]]) if below.size else None,
-        absorbed=bool(below.size),
-        equilibrium=False,
-        glued=bool(seg_changes.size),
-        budget_mode=False,
-        f_tol=F_TOL,
-        diagnostics={"source": "csv"},
     )

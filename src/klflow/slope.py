@@ -1,4 +1,4 @@
-"""Descending slope estimation, the chain rule, and metric speed.
+"""Descending slope estimation.
 
 The descending slope at x is
 
@@ -16,7 +16,7 @@ lower estimate only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,21 +36,6 @@ class SlopeEstimate:
     radius_used: float
     samples: int
     method: str  # "analytic" | "gradient-norm" | "ball-sampling"
-
-
-@dataclass(frozen=True)
-class SpeedSample:
-    t: float
-    value: float
-    one_sided: bool = False
-
-
-@dataclass(frozen=True)
-class MonotoneMap:
-    """Scalar non-decreasing map with a left derivative, for the chain rule."""
-
-    value: Callable[[float], float]
-    left_deriv: Callable[[float], float]
 
 
 def sampled_slope(
@@ -103,61 +88,3 @@ def descending_slope(f: Functional, x, fx: Optional[float] = None) -> SlopeEstim
     if g is not None:
         return SlopeEstimate(float(np.linalg.norm(g)), 0.0, 0, "gradient-norm")
     return sampled_slope(f, x, fx=fx)
-
-
-def chain_rule_slope(
-    f: Functional,
-    g: MonotoneMap,
-    x,
-    slope_f: Union[SlopeEstimate, float],
-) -> float:
-    """Slope of the composition g(f(.)) at x: left-deriv of g at f(x) times |df|(x).
-
-    Requires f(x) finite and the left derivative defined and nonnegative
-    there.  A constant g (left derivative 0) gives slope 0.
-    """
-    x = np.asarray(x, dtype=float)
-    fx = f.value(x)
-    if fx == INF:
-        raise ValueError("chain rule requires f(x) finite")
-    d = g.left_deriv(fx)
-    if d is None or not np.isfinite(d):
-        raise ValueError("left derivative of g undefined at f(x)")
-    d = float(d)
-    if d < 0.0:
-        raise ValueError("g must be non-decreasing (left derivative >= 0)")
-    s = slope_f.value if isinstance(slope_f, SlopeEstimate) else float(slope_f)
-    if d == 0.0:
-        return 0.0
-    return d * s
-
-
-def metric_speed(points: Sequence[Tuple[float, np.ndarray]], t: float) -> SpeedSample:
-    """Metric speed |y'|(t) from time-stamped samples.
-
-    Uses the symmetric quotient d(y_a, y_b) / (t_b - t_a) over the tightest
-    available bracket around t; at or beyond the ends of the sampled range the
-    quotient is one-sided and flagged.
-    """
-    if len(points) < 2:
-        raise ValueError("need at least two time-stamped points")
-    times = np.array([p[0] for p in points], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    coords = [np.asarray(p[1], dtype=float) for p in points]
-    n = len(points)
-
-    def quotient(i: int, j: int) -> float:
-        return float(np.linalg.norm(coords[i] - coords[j])) / (times[j] - times[i])
-
-    if t <= times[0]:
-        return SpeedSample(t, quotient(0, 1), one_sided=True)
-    if t >= times[-1]:
-        return SpeedSample(t, quotient(n - 2, n - 1), one_sided=True)
-    j = int(np.searchsorted(times, t))
-    if times[j] == t:
-        # exact hit on an interior sample: centred quotient around it
-        if 0 < j < n - 1:
-            return SpeedSample(t, quotient(j - 1, j + 1), one_sided=False)
-        return SpeedSample(t, quotient(max(j - 1, 0), min(j + 1, n - 1)), one_sided=True)
-    return SpeedSample(t, quotient(j - 1, j), one_sided=False)

@@ -47,15 +47,6 @@ class ParameterFunction:
         return float(v)
 
 
-@dataclass(frozen=True)
-class AuxiliaryFunctions:
-    """Evaluators for eta and Gamma attached to one parameter function."""
-
-    eta: Callable[[float], float]
-    gamma: Callable[[float], float]
-    eta_closed_form: bool
-
-
 def make_power_theta(c: float, gamma: float) -> ParameterFunction:
     """Power-family parameter function theta(u) = (c/gamma) * u**gamma."""
     c = float(c)
@@ -186,12 +177,3 @@ def gamma_eval(pf: ParameterFunction, v: float) -> float:
     if v > 0.0 and v >= pf.theta_at_infinity():
         raise ValueError("argument exceeds the range of theta")
     return eta_eval(pf, theta_inverse(pf, v))
-
-
-def auxiliary_functions(pf: ParameterFunction) -> AuxiliaryFunctions:
-    """Bundle eta and Gamma evaluators for one parameter function."""
-    return AuxiliaryFunctions(
-        eta=lambda u: eta_eval(pf, u),
-        gamma=lambda v: gamma_eval(pf, v),
-        eta_closed_form=pf.family == "power",
-    )

@@ -148,20 +148,25 @@ def test_sharpness_profile_is_theta_inverse_of_distance():
 
 
 def test_known_alpha_against_estimates():
-    from klflow import estimate_alpha
+    from klflow import check_condition_C, estimate_alpha
 
-    cases = (
-        ("quadratic?lambda=1", 1.0, 0.5),
-        ("double-well?lambda=1&a=1", 0.5, 0.5),
-        ("truncated-parabola", 1.0, 0.5),
-        ("truncated-parabola", 1.0, 1.5),
-    )
-    for cid, anchor, r in cases:
-        e = resolve_entry(cid)
-        x0 = np.array([anchor])
-        known = e.known_alpha(x0, r)
-        est = estimate_alpha(e.functional, x0, r)
-        assert abs(est - known) <= 0.05 * max(known, 1.0), (cid, r)
+    checked = 0
+    for line in list_corpus():
+        e = resolve_entry(line.split()[0])
+        if e.known_alpha is None:
+            continue
+        for anchor in (1.0, 0.5, -0.8, 2.0):
+            x0 = np.array([anchor])
+            if e.functional.value(x0) == 0.0:
+                continue  # C reports an equilibrium's alpha as inf by design
+            for r in (0.5, 1.5):
+                known = e.known_alpha(x0, r)
+                est = estimate_alpha(e.functional, x0, r)
+                assert abs(est - known) <= 0.05 * max(known, 1.0), (e.provenance, anchor, r)
+                report = check_condition_C(e.functional, x0, r)
+                assert _bits([report.alpha_estimate]) == _bits([est]), (e.provenance, anchor, r)
+                checked += 1
+    assert checked == 30
 
 
 def test_brute_force_minimiser_cases():

@@ -1,6 +1,7 @@
-"""What importing and loading klflow costs: no scipy until a solver needs it.
+"""The public contract, and what importing and loading klflow costs: no scipy
+until a solver needs it.
 
-The pytest process has imported scipy already, so each check runs in a fresh
+The pytest process has imported scipy already, so each import check runs in a fresh
 interpreter.
 """
 
@@ -13,6 +14,24 @@ from pathlib import Path
 import klflow
 
 SRC = str(Path(klflow.__file__).resolve().parents[1])
+
+#: klflow.__all__: adding or removing a public name is an edit here
+PUBLIC_NAMES = [
+    "BruteForceResult", "ConditionReport", "CorpusEntry", "DeGiorgiReport", "EdeReport",
+    "EuclideanBackend", "ExperimentConfig", "FlowControls", "Functional",
+    "ParameterFunction", "ProxControls", "ProxSequence", "ProxStep", "RateCertificate",
+    "RecursiveBoundParams", "ResolventResult", "RunReport", "SlopeEstimate", "SuiteReport",
+    "Trajectory", "as_point", "brute_force_minimiser", "certify_power_family",
+    "certify_power_rates_discrete", "certify_rates_continuous", "certify_rates_discrete",
+    "check_condition_A", "check_condition_C", "check_step_monotonicity",
+    "de_giorgi_residual", "descending_slope", "emit_plot_data", "estimate_alpha",
+    "eta_eval", "gamma_eval", "improved_sqrt_distance_bound", "integrate_maximal_slope",
+    "ioffe_distance_check", "limit_diagnostics", "list_corpus", "make_power_theta",
+    "matched_half_power", "one_step_decay_check", "recursion_equality_sequence",
+    "recursive_bound", "recursive_bound_params", "resolve_entry", "resolvent",
+    "run_experiment", "run_prox_sequence", "run_suite", "sampled_slope", "sequence_to_csv",
+    "theta_inverse", "trajectory_to_csv", "verify_ede",
+]
 
 SCRIPT = r"""
 import io, sys
@@ -78,3 +97,10 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     # a 1-D resolvent solves with brentq, imported on first use
     assert "scipy.optimize" in loaded["resolvent"]
     assert not any(m.startswith("scipy.stats") for m in loaded["resolvent"])
+
+
+def test_public_names_are_the_pinned_list():
+    assert klflow.__all__ == PUBLIC_NAMES
+    assert PUBLIC_NAMES == sorted(set(PUBLIC_NAMES))
+    for name in PUBLIC_NAMES:
+        assert getattr(klflow, name) is not None, name

@@ -1,4 +1,4 @@
-"""Sampled descending slopes, the chain rule, and metric speeds."""
+"""Sampled descending slopes."""
 
 import math
 
@@ -9,14 +9,12 @@ from klflow import (
     EuclideanBackend,
     Functional,
     descending_slope,
-    make_power_theta,
-    metric_speed,
     resolve_entry,
     sampled_slope,
 )
 from klflow.core import INF
 from klflow.sampling import SAMPLER_SEED, unit_directions
-from klflow.slope import DEFAULT_RADII, MonotoneMap, chain_rule_slope
+from klflow.slope import DEFAULT_RADII
 
 CORPUS_IDS = (
     "quadratic?lambda=1",
@@ -168,43 +166,3 @@ def test_corpus_sampled_matches_analytic():
                 assert not np.isfinite(s)
             else:
                 assert abs(s - a) <= max(0.02 * abs(a), 1e-3), (cid, p, a, s)
-
-
-def test_chain_rule_matches_product_and_composite():
-    e = resolve_entry("quadratic?lambda=1")
-    pf = make_power_theta(1.0 / math.sqrt(2.0), 0.5)
-    g = MonotoneMap(value=pf.theta, left_deriv=pf.theta_deriv)
-    for p in (0.3, 1.0, 1.7):
-        x = np.array([p])
-        slope_f = sampled_slope(e.functional, x)
-        chained = chain_rule_slope(e.functional, g, x, slope_f)
-        product = pf.theta_deriv(e.functional.value(x)) * e.functional.analytic_slope(x)
-        assert math.isclose(chained, product, rel_tol=2e-4)
-        composite = Functional(
-            label="theta-of-f",
-            backend=e.functional.backend,
-            value=lambda y: pf.theta(e.functional.value(y)),
-        )
-        direct = sampled_slope(composite, x).value
-        assert math.isclose(direct, product, rel_tol=0.02)
-
-
-def test_chain_rule_accepts_plain_float():
-    e = resolve_entry("quadratic?lambda=1")
-    pf = make_power_theta(1.0, 0.5)
-    g = MonotoneMap(value=pf.theta, left_deriv=pf.theta_deriv)
-    out = chain_rule_slope(e.functional, g, np.array([1.0]), 1.0)
-    assert math.isclose(out, pf.theta_deriv(0.5), rel_tol=1e-12)
-
-
-def test_metric_speed_centred_quotients():
-    ts = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-    pts = [(t, np.array([math.exp(-t)])) for t in ts]
-    for t in (0.25, 0.5, 0.75):
-        sample = metric_speed(pts, t)
-        assert not sample.one_sided
-        assert math.isclose(sample.value, math.exp(-t), rel_tol=1e-5)
-    first = metric_speed(pts, 0.0)
-    last = metric_speed(pts, 1.0)
-    assert first.one_sided and last.one_sided
-    assert math.isclose(first.value, 1.0, rel_tol=1e-2)
