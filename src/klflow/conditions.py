@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import INF, Functional, row_norms
+from .core import INF, Functional, norm, row_norms
 from .sampling import SAMPLER_SEED, ball_sample
 from .slope import descending_slope
 from .theta import ParameterFunction, make_power_theta
@@ -87,7 +87,7 @@ def _compass_search(scored, y0: np.ndarray, v0: float, h: float):
     """
     axes = np.vstack([np.eye(y0.size), -np.eye(y0.size)])
     y, v, step = y0, v0, h
-    while step > REFINE_STEP_TOL * max(1.0, float(np.linalg.norm(y))):
+    while step > REFINE_STEP_TOL * max(1.0, norm(y)):
         probes = scored(y + step * axes)
         best = min(probes, key=lambda p: p[1], default=None)
         if best is not None and best[1] < v:

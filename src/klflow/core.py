@@ -73,7 +73,7 @@ def pick_branch(candidates: Sequence, policy: str, x=None):
     if len(candidates) == 1:
         return candidates[0]
     if policy == "smallest-distance":
-        dists = [float(np.linalg.norm(np.asarray(z) - x)) for z in candidates]
+        dists = [norm(np.asarray(z) - x) for z in candidates]
         near = min(dists) * (1.0 + DISTANCE_TIE_TOL)
         return min((z for z, d in zip(candidates, dists) if d <= near), key=tuple)
     if policy == "positive-branch":
@@ -131,8 +131,17 @@ def as_point(x) -> np.ndarray:
     return arr
 
 
+def norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d float array, bit for bit, as a float.
+
+    That call is ``sqrt(dot(v, v))``; making the same dot and sqrt directly
+    skips its argument handling, which costs more than the sum itself.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def row_norms(diff: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row, rounded as the 1-d call rounds it.
+    """``norm`` of each row, rounded as the 1-d call rounds it.
 
     That call is ``sqrt(dot(d, d))``.  A stacked ``matmul`` of each row
     with itself makes the same dot per row; in several dimensions a

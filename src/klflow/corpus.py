@@ -10,6 +10,7 @@ radius for the anchored slope condition.  Ids look like
 from __future__ import annotations
 
 import math
+import sys
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -17,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .core import (
-    EuclideanBackend, Functional, as_point, dense_scan, pick_branch, row_norms
+    EuclideanBackend, Functional, as_point, dense_scan, norm, pick_branch, row_norms
 )
 from .theta import ParameterFunction, make_power_theta
 
@@ -48,7 +49,7 @@ class BruteForceResult:
         """Distance from query to the nearest near-optimal point found."""
         q = np.asarray(query, dtype=float)
         cands = [self.point] + list(self.ties)
-        return min(float(np.linalg.norm(q - c)) for c in cands)
+        return min(norm(q - c) for c in cands)
 
 
 def _float_pow(base: np.ndarray, p: float) -> np.ndarray:
@@ -76,7 +77,7 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
         return 0.5 * lam * np.sum((xs - c) ** 2, axis=1)
 
     def slope(x):
-        return lam * float(np.linalg.norm(x - c))
+        return lam * norm(x - c)
 
     def gradient(x):
         return lam * (x - c)
@@ -99,7 +100,7 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
     def condition_data(x0):
         x0 = as_point(x0)
         pf = make_power_theta(c=1.0 / math.sqrt(2.0 * lam), gamma=0.5)
-        return pf, float(np.linalg.norm(x0 - c))
+        return pf, norm(x0 - c)
 
     return CorpusEntry(
         functional=Functional(
@@ -447,24 +448,34 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
     backend = EuclideanBackend(c.size)
 
     def value(x):
-        return scale * float(np.linalg.norm(x - c)) ** p
+        return scale * norm(x - c) ** p
 
     def batch_value(xs):
         return scale * _float_pow(row_norms(xs - c), p)
 
     def slope(x):
-        d = float(np.linalg.norm(x - c))
+        d = norm(x - c)
         if d == 0.0:
             return 0.0
         return scale * p * d ** (p - 1.0)
 
     def gradient(x):
-        d = float(np.linalg.norm(x - c))
+        u = x - c
+        sq = u.dot(u)
+        if sq < sys.float_info.min and u.any():
+            # the squares are subnormal: rescaled by s = max |u_i|, the
+            # distance s n is 0 only at the centre and the direction v / n
+            # keeps unit length, so a kink has no gradient-free halo
+            s = float(np.abs(u).max())
+            v = u / s
+            n = norm(v)
+            return scale * p * (s * n) ** (p - 1.0) * (v / n)
+        d = math.sqrt(sq)
         if d == 0.0:
             if p >= 2.0 or p == 1.0:
                 return None if p == 1.0 else np.zeros_like(c)
             return np.zeros_like(c)  # 1 < p < 2: C^1 with vanishing gradient
-        return scale * p * d ** (p - 2.0) * (x - c)
+        return scale * p * d ** (p - 2.0) * u
 
     def radial_resolvent(d: float, tau: float) -> float:
         # solve rho + tau * scale * p * rho^(p-1) = d on [0, d]
@@ -481,7 +492,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
 
     def resolvent(x, tau):
         x = as_point(x)
-        d = float(np.linalg.norm(x - c))
+        d = norm(x - c)
         if d == 0.0:
             return [c.copy()]
         rho = radial_resolvent(d, tau)
@@ -489,7 +500,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
 
     def trajectory(x0, policy="positive-branch"):
         x0 = as_point(x0)
-        d0 = float(np.linalg.norm(x0 - c))
+        d0 = norm(x0 - c)
         if d0 == 0.0:
             return lambda t: c.copy()
         u = (x0 - c) / d0

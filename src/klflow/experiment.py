@@ -30,7 +30,7 @@ from .certificates import (
 from .conditions import (  # noqa: F401
     ConditionReport, check_condition_A, check_condition_C, check_conditions
 )
-from .core import as_point, check_int, check_real, plain, write_csv
+from .core import as_point, check_int, check_real, norm, plain, write_csv
 from .corpus import CorpusEntry, brute_force_minimiser, resolve_entry
 from .flow import (
     FlowControls,
@@ -334,7 +334,7 @@ def _limit_optimality_certificate(
         return None
     bf = brute_force_minimiser(entry)
     cands = [bf.point] + list(bf.ties)
-    x_near = min(cands, key=lambda c: float(np.linalg.norm(c - limit_point)))
+    x_near = min(cands, key=lambda c: norm(c - limit_point))
     d_set = bf.nearest_distance(limit_point)
     f_limit = float(entry.functional.value(limit_point))
     # a run cut off at finite horizon still has theta(f_end) of travel left,
@@ -347,7 +347,7 @@ def _limit_optimality_certificate(
         d_set <= slack + 1e-3 + tol
         or f_limit <= bf.value + 1e-9 * (1.0 + abs(bf.value))
     )
-    d_anchor = float(np.linalg.norm(limit_point - x0))
+    d_anchor = norm(limit_point - x0)
     bound = pf.theta(f_x0) + 1e-3
     return certificate(
         "limit-optimality",
@@ -485,7 +485,7 @@ def _run_prox_mode(
         and m["variational_decrease"]
         and (
             m["stationarity"]
-            or s.dist <= 1e-9 * (1.0 + float(np.linalg.norm(s.from_point)))
+            or s.dist <= 1e-9 * (1.0 + norm(s.from_point))
         )
         for m, s in zip(mono, seq.steps)
     )

@@ -30,7 +30,7 @@ from .certificates import (
 from .conditions import ConditionReport
 from .core import (
     FLOW_POLICIES, INF, Functional, as_point, check_int, check_policy, check_real,
-    pick_branch, row_norms, write_csv,
+    norm, pick_branch, row_norms, write_csv,
 )
 from .sampling import unit_directions
 from .slope import descending_slope
@@ -139,7 +139,7 @@ def _probe_direction(
     Returns the best descent rate and its direction, ties broken by the
     branch policy.
     """
-    delta = PROBE_DELTA * max(1.0, float(np.linalg.norm(x)))
+    delta = PROBE_DELTA * max(1.0, norm(x))
     dirs = unit_directions(x.size, 16)
     rates = (fx - f.values(x + delta * dirs)) / delta
     best = rates.max()
@@ -158,8 +158,8 @@ def _step_checks(
         return False
     if fx_new > fx + 1e-12 * (1.0 + abs(fx)):
         return False
-    gn = float(np.linalg.norm(g))
-    gn_new = float(np.linalg.norm(g_new))
+    gn = norm(g)
+    gn_new = norm(g_new)
     ratio = (gn_new + 1e-15) / (gn + 1e-15)
     if max(ratio, 1.0 / ratio) > JUMP_FACTOR:
         return False
@@ -286,7 +286,7 @@ def integrate_maximal_slope(
             if rate <= EQUILIBRIUM_SLOPE_TOL:
                 equilibrium = True
                 break
-            kick = KINK_KICK * max(1.0, float(np.linalg.norm(x)))
+            kick = KINK_KICK * max(1.0, norm(x))
             x = x + kick * direction
             fx = f.value(x)
             t += kick / rate
@@ -644,7 +644,7 @@ def improved_sqrt_distance_bound(
     x_s, f_s = traj.state_at(s)
     x_t, f_t = traj.state_at(t_eff)
     f0 = float(traj.fs[0])
-    obs = float(np.linalg.norm(x_s - x_t)) ** 2
+    obs = norm(x_s - x_t) ** 2
     es = math.exp(-s / (2.0 * c2))
     et = math.exp(-t_eff / (2.0 * c2))
     bound_fine = 4.0 * c2 * (es - et) * math.sqrt(f0) * (

@@ -5,15 +5,23 @@ The resolvent of f at x with step tau minimises phi(z) = f(z) + d(x,z)^2 /
 ball of radius sqrt(2 tau f(x)) around x.  A functional that declares a
 convexity modulus lambda with mu = lambda + 1/tau > 0 makes phi mu-strongly
 convex, so phi has one minimiser there and the resolvent makes one solve in
-every dimension (Ambrosio-Gigli-Savare, Ch. 2 and 4).  In one dimension the
-box is scanned (on 3 points when phi is strongly convex, else on n_grid)
-and each candidate bracket is refined by one root solve of phi'(z) =
-f'(z) + (z - x)/tau where it changes sign from - to + (across the bracket
-or one of its halves), which places a smooth or kink minimiser to about
-4 eps |z|, and otherwise by golden section on phi to about 1 ulp.  That
-value path pins kinks and jumps, but phi is flat to rounding over about
-sqrt(eps) |z| around a smooth minimum, so no value-only bracket places one
-closer than about 1e-8 relative.  In several dimensions a strongly convex
+every dimension (Ambrosio-Gigli-Savare, Ch. 2 and 4).  In one dimension
+that solve finds where phi'(z) = f'(z) + (z - x)/tau, which is increasing,
+changes sign: in Python floats, by Illinois secant steps with bisections in
+float order, down to two adjacent floats, which places the minimiser to
+1 ulp.  A probe where f has no gradient is a kink, accepted when phi' is
+<= 0 one float below it and >= 0 one float above; a float-order bisection
+reaches a representable kink, so the cone's soft threshold lands on its
+centre exactly.  Without a gradient oracle, or where the box ends show no
+sign change, golden section on phi, which is unimodal on the box, pins the
+minimiser to about 1 ulp of the box.  Without a modulus the box is scanned
+on n_grid points and each candidate bracket is refined by one root solve of
+phi' where it changes sign from - to + (across the bracket or one of its
+halves), which places a smooth or kink minimiser to about 4 eps |z|, and
+otherwise by golden section on phi to about 1 ulp.  That value path pins
+kinks and jumps, but phi is flat to rounding over about sqrt(eps) |z|
+around a smooth minimum, so no value-only bracket places one closer than
+about 1e-8 relative.  In several dimensions a strongly convex
 phi takes one local solve from x, certified when |grad phi(z)| / mu, which
 bounds the distance from z to the minimiser, is at most POINT_TIE_TOL
 (1 + |z|) (never at a kink, which has no gradient).  Without a modulus an
@@ -33,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -44,7 +53,7 @@ from .certificates import (
 )
 from .core import (
     INF, PROX_POLICIES, Functional, as_point, check_int, check_policy, check_real,
-    dense_scan, pick_branch, row_norms, write_csv,
+    dense_scan, norm, pick_branch, row_norms, write_csv,
 )
 from .sampling import ball_sample
 from .slope import descending_slope
@@ -90,8 +99,9 @@ class ResolventResult:
     points: List[np.ndarray]  # objective-tied minimisers, sorted
     objective: float
     f_values: List[float]  # f.value at each point, as the oracle returned it
-    # 1-d: always True (for a strongly convex phi by convexity, else on the
-    # scan grid resolving every basin); n-d: True when the gradient bound puts
+    # 1-d: always True (for a strongly convex phi by a sign change of phi' at
+    # adjacent floats or by the one basin of the box, else on the scan grid
+    # resolving every basin); n-d: True when the gradient bound puts
     # the single start of a strongly convex phi within POINT_TIE_TOL (1 + |z|)
     certified: bool
     n_evals: int  # points at which the value oracle was evaluated
@@ -185,6 +195,84 @@ def _counted(f: Functional) -> Tuple[Functional, List[int]]:
         return f.values(zs)
 
     return dataclasses.replace(f, value=value, batch_value=batch_value), count
+
+
+def _ordered(z: float) -> int:
+    """The position of ``z`` in float order: adjacent floats differ by 1, and
+    -0.0 and 0.0 are both 0."""
+    (k,) = struct.unpack("<q", struct.pack("<d", z))
+    return k if k >= 0 else -(k + 2**63)
+
+
+def _unordered(k: int) -> float:
+    """The float at position ``k`` of float order (inverse of ``_ordered``)."""
+    (z,) = struct.unpack("<d", struct.pack("<q", abs(k)))
+    return z if k >= 0 else -z
+
+
+def _convex_root_1d(
+    f: Functional, xval: float, tau: float, lo: float, hi: float
+) -> Optional[float]:
+    """The minimiser of a strongly convex phi on [lo, hi], from the sign of
+    psi = phi' = f' + (z - xval)/tau, or None when the oracle cannot show it.
+
+    psi is increasing, so psi(lo) < 0 < psi(hi) brackets the minimiser, and
+    the bracket closes on two adjacent floats with psi < 0 at the left and
+    >= 0 at the right; the end with the smaller |psi| is returned.  Steps are
+    Illinois secant steps; when a step leaves more than half the floats the
+    bracket held two steps before, a bisection in float order follows, so
+    at most about 64 bisections are taken.  A probe without a gradient is a
+    kink; it is the minimiser when psi <= 0 one float below it and psi >= 0
+    one float above it, since the subdifferential of phi there spans that
+    interval, and otherwise it takes the sign of psi one float below it.
+    None when f has no gradient oracle, the box ends do not bracket, or a
+    kink has a kink for neighbour.
+    """
+    if f.smooth_gradient is None:
+        return None
+
+    def psi(z: float) -> Optional[float]:
+        g = f.gradient(np.array([z]))
+        return None if g is None else float(g[0]) + (z - xval) / tau
+
+    pa, pb = psi(lo), psi(hi)
+    if pa is None or pb is None or not pa < 0.0 < pb:
+        return None
+    a, b, ka, kb = lo, hi, _ordered(lo), _ordered(hi)
+    wa, wb = pa, pb  # secant weights; Illinois halves the one kept twice
+    kept = 0  # -1 after a probe replaced a, 1 after one replaced b
+    bisect = False
+    before = kb - ka  # the bracket's float count before the last step
+    while kb - ka > 1:
+        width = kb - ka
+        if bisect:
+            kz = (ka + kb) // 2
+            z = _unordered(kz)
+        else:
+            z = b - wb * (b - a) / (wb - wa)
+            if not a < z < b:  # on an end (or NaN): step one float inside
+                z = math.nextafter(a, INF) if z <= a else math.nextafter(b, -INF)
+            kz = _ordered(z)
+        pz = psi(z)
+        if pz is None:
+            pz, above = psi(math.nextafter(z, -INF)), psi(math.nextafter(z, INF))
+            if pz is None or above is None:
+                return None
+            if pz <= 0.0 <= above:
+                return z
+        if pz < 0.0:
+            a, pa, wa, ka = z, pz, pz, kz
+            if kept < 0:
+                wb *= 0.5
+            kept = -1
+        else:
+            b, pb, wb, kb = z, pz, pz, kz
+            if kept > 0:
+                wa *= 0.5
+            kept = 1
+        bisect = 2 * (kb - ka) > before
+        before = width
+    return a if -pa < pb else b
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float, float]:
@@ -282,7 +370,7 @@ def _tied_minimisers(ranked: List[Tuple[float, np.ndarray]], point_tol: float):
         if val > best + OBJECTIVE_TIE_TOL * (1.0 + abs(best)):
             continue
         if all(
-            np.linalg.norm(z - w) > point_tol * (1.0 + np.linalg.norm(z))
+            norm(z - w) > point_tol * (1.0 + norm(z))
             for w in points
         ):
             points.append(z)
@@ -298,25 +386,39 @@ def resolvent(
     x = as_point(x)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    f, n_evals = _counted(f)
     fx = f.value(x)
     if not np.isfinite(fx) or fx < 0:
         raise ValueError("resolvent needs a finite nonnegative f(x)")
-    phi = _phi(f, x, tau)
     if fx == 0.0:
-        return ResolventResult([x.copy()], 0.0, [0.0], True, n_evals[0])
+        return ResolventResult([x.copy()], 0.0, [0.0], True, 1)
     radius = math.sqrt(2.0 * tau * fx) * (1.0 + BOX_SLACK)
     # mu = lambda + 1/tau (-inf with no modulus); mu > 0 makes phi mu-strongly
     # convex: one minimiser, and |grad phi(z)| / mu bounds the distance to it
     mu = -INF if f.convexity is None else f.convexity + 1.0 / tau
 
+    if x.size == 1 and mu > 0:
+        xval = float(x[0])
+        lo, hi = xval - radius, xval + radius
+        f_at: Dict[float, float] = {}
+
+        def phi_1d(z: float) -> float:
+            if z not in f_at:
+                f_at[z] = f.value(np.array([z]))
+            return f_at[z] + (z - xval) * (z - xval) / (2.0 * tau)
+
+        z = _convex_root_1d(f, xval, tau, lo, hi)
+        if z is None:
+            # f >= 0 gives phi(x) < radius^2/(2 tau) <= phi(x +- radius), so
+            # the strongly convex phi is unimodal on the box
+            z, _, _ = _golden_section(phi_1d, lo, hi, 2.0 * EPS * max(1.0, abs(lo), abs(hi)))
+        objective = phi_1d(z)
+        return ResolventResult([np.array([z])], objective, [f_at[z]], True, 1 + len(f_at))
+
+    f, n_evals = _counted(f)
+    phi = _phi(f, x, tau)
     if x.size == 1:
         xval = float(x[0])
-        # strongly convex: f >= 0 gives phi(x) < radius^2/(2 tau) <= phi(x +- radius),
-        # so 3 points make the whole box one bracket, on which phi is unimodal
-        scan = dense_scan(
-            _phi_batch(f, xval, tau), xval - radius, xval + radius, 3 if mu > 0 else c.n_grid
-        )
+        scan = dense_scan(_phi_batch(f, xval, tau), xval - radius, xval + radius, c.n_grid)
         grid, vals = scan.grid, scan.values
         best_grid = vals.min()
         cand = [
@@ -328,7 +430,7 @@ def resolvent(
             [(val, np.array([z])) for val, z in refined], POINT_TIE_TOL
         )
         return ResolventResult(
-            points, float(best), [f_at[float(p[0])] for p in points], True, n_evals[0]
+            points, float(best), [f_at[float(p[0])] for p in points], True, 1 + n_evals[0]
         )
 
     from scipy.optimize import minimize
@@ -343,9 +445,9 @@ def resolvent(
         )
         z = np.asarray(res.x, dtype=float)
         g = f.gradient(z)
-        bound = INF if g is None else float(np.linalg.norm(g + (z - x) / tau)) / mu
-        certified = bound <= POINT_TIE_TOL * (1.0 + float(np.linalg.norm(z)))
-        return ResolventResult([z], float(res.fun), [f.value(z)], certified, n_evals[0])
+        bound = INF if g is None else norm(g + (z - x) / tau) / mu
+        certified = bound <= POINT_TIE_TOL * (1.0 + norm(z))
+        return ResolventResult([z], float(res.fun), [f.value(z)], certified, 1 + n_evals[0])
 
     # no modulus: multistart local minimisation inside the box
     starts = [x.copy()] + list(ball_sample(x, radius, N_STARTS))
@@ -359,7 +461,7 @@ def resolvent(
     found.sort(key=lambda p: p[0])
     best, points = _tied_minimisers(found, MULTISTART_TIE_TOL)
     return ResolventResult(
-        points, best, [f.value(p) for p in points], False, n_evals[0]
+        points, best, [f.value(p) for p in points], False, 1 + n_evals[0]
     )
 
 
@@ -428,7 +530,7 @@ def run_prox_sequence(
         for k, t in enumerate(taus):
             res = resolvent(f, x, t, c)
             z, fz = _picked(res, c.policy, x)
-            d = float(np.linalg.norm(z - x))
+            d = norm(z - x)
             sl = descending_slope(f, z).value
             dg = math.nan
             if c.compute_de_giorgi:
@@ -554,7 +656,7 @@ def de_giorgi_residual(
         return pick_branch(res.points, c.policy, x)
 
     z_tau = z_at(tau)
-    d_tau = float(np.linalg.norm(z_tau - x))
+    d_tau = norm(z_tau - x)
     nodes, weights = np.polynomial.legendre.leggauss(8)
     integral = 0.0
     panel_val = 0.0
@@ -566,7 +668,7 @@ def de_giorgi_residual(
         panel_val = 0.0
         for t, w in zip(nodes, weights):
             s = mid + half * t
-            ds = float(np.linalg.norm(z_at(s) - x))
+            ds = norm(z_at(s) - x)
             panel_val += w * ds * ds / (2.0 * s * s)
         panel_val *= half
         integral += panel_val
@@ -883,9 +985,11 @@ def certify_power_rates_discrete(
 
     gamma = 1: finite termination within ceil(c r / tau) steps plus the
     linear bound f_k <= max(f_0 - k tau/c^2, 0).  gamma in (1/2, 1):
-    geometric with rate (tau/c^2) f_0^(1-2 gamma), then doubly exponential.
-    gamma = 1/2: plain geometric.  gamma < 1/2: polynomial.  All regimes
-    also get the distance tail d(y_k, y_last) <= theta(bound_k).  Each
+    geometric with rate (tau/c^2) f_0^(1-2 gamma), then doubly exponential
+    from the entry index k0 (a sequence that stopped at f = 0 before k0 is
+    checked at row k0 with f = 0, where it would have stayed).  gamma =
+    1/2: plain geometric.  gamma < 1/2: polynomial.  All regimes also get
+    the distance tail d(y_k, y_last) <= theta(bound_k).  Each
     certificate's details record ``uncertified_steps`` as in
     ``certify_rates_discrete``.
     """
@@ -968,14 +1072,19 @@ def certify_power_rates_discrete(
                     {"rate": 1.0 + params.alpha_tilde},
                 )
             )
-            if n - 1 >= params.k0:
-                kk = np.arange(params.k0, n)
+            kk = np.arange(params.k0, n)
+            observed = fs[kk]
+            if kk.size == 0 and fs[-1] == 0.0:
+                # a resolvent at f = 0 returns its input, so the sequence
+                # continued would observe f = 0 at row k0 and every later row
+                kk, observed = np.array([params.k0]), np.zeros(1)
+            if kk.size:
                 certs.append(
                     certificate(
                         "discrete-doubly-exponential",
                         kk.astype(float),
                         np.array([recursive_bound(params, int(k)) for k in kk]),
-                        fs[kk],
+                        observed,
                         t_star,
                         tol,
                         {"k0": params.k0, "u_star": params.u_star},
@@ -1012,7 +1121,7 @@ def limit_diagnostics(seq: ProxSequence) -> dict:
         "limit_point": seq.points[-1].copy(),
         "f_limit": float(seq.fs[-1]),
         "path_length": path_length,
-        "direct_distance": float(np.linalg.norm(seq.points[-1] - seq.points[0])),
+        "direct_distance": norm(seq.points[-1] - seq.points[0]),
         "stop_reason": seq.stop_reason,
         "terminated_at": seq.terminated_at,
         "n_iterates": seq.n_iterates,

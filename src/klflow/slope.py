@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import INF, Functional
+from .core import INF, Functional, norm
 from .sampling import SAMPLER_SEED, unit_directions
 
 #: default shrinking radius schedule for the sampled estimator
@@ -86,5 +86,5 @@ def descending_slope(f: Functional, x, fx: Optional[float] = None) -> SlopeEstim
         return SlopeEstimate(float(f.analytic_slope(x)), 0.0, 0, "analytic")
     g = f.gradient(x)
     if g is not None:
-        return SlopeEstimate(float(np.linalg.norm(g)), 0.0, 0, "gradient-norm")
+        return SlopeEstimate(norm(g), 0.0, 0, "gradient-norm")
     return sampled_slope(f, x, fx=fx)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from klflow import resolve_entry
 from klflow.certificates import theta_distance_margin
@@ -26,16 +28,49 @@ def _pair_loop(theta, points):
     return margin
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 5])
-@pytest.mark.parametrize("n", [0, 1, 2, 50])
-def test_theta_distance_margin_is_the_pair_loop(dim, n):
+def _random_pairs(n, dim):
     rng = np.random.default_rng(100 * dim + n)
     theta = np.sort(rng.uniform(0.0, 3.0, n))[::-1].copy()
-    points = rng.normal(size=(n, dim))
+    return theta, rng.normal(size=(n, dim))
+
+
+# from two 1-d points on, the margin comes from running minima (next test)
+@pytest.mark.parametrize(
+    "n, dim", [(n, dim) for dim in (1, 2, 3, 5) for n in (0, 1, 2, 50) if dim > 1 or n < 2]
+)
+def test_theta_distance_margin_is_the_pair_loop(dim, n):
+    theta, points = _random_pairs(n, dim)
     margin = theta_distance_margin(theta, points)
     assert margin == _pair_loop(theta, points)
     if n < 2:
         assert margin == math.inf
+
+
+def _within_8_ulps(margin, theta, points):
+    # each of the two kernels rounds at most 4 times by at most one ulp of
+    # M = max |theta|, |p|, so they differ by at most 8 ulps of M
+    scale = max(np.abs(theta).max(), np.abs(points).max())
+    return abs(margin - _pair_loop(theta, points)) <= 8.0 * np.spacing(scale)
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_theta_distance_margin_1d_is_the_pair_loop_to_8_ulps(n):
+    theta, points = _random_pairs(n, 1)
+    assert _within_8_ulps(theta_distance_margin(theta, points), theta, points)
+
+
+@given(
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=2, max_size=40),
+    st.booleans(),
+)
+def test_1d_theta_distance_margin_property(pairs, sharp):
+    # sharp: theta_i = |p_i| on a monotone run, where every pair is tight
+    theta, p = (np.array(c) for c in zip(*pairs))
+    if sharp:
+        p = np.sort(np.abs(p))[::-1].copy()
+        theta = p.copy()
+    points = p[:, None]
+    assert _within_8_ulps(theta_distance_margin(theta, points), theta, points)
 
 
 def test_theta_distance_margin_keeps_a_nan_pair():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from klflow import brute_force_minimiser, list_corpus, resolve_entry, resolvent
-from klflow.core import EuclideanBackend, Functional, dense_scan
+from klflow.core import EuclideanBackend, Functional, dense_scan, norm
 
 # several parameter sets per corpus factory, for the batched-oracle checks
 BATCH_IDS = [
@@ -270,6 +270,32 @@ def test_values_without_batch_oracle_loops_over_value():
     assert [p.tolist() for p in calls] == [[1.0, 0.5], [-2.0, 0.0], [0.5, 1.0]]
     with pytest.raises(ValueError, match="values expects"):
         f.values(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_norm_is_np_linalg_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    # ordinary, subnormal, tiny (squares underflow), huge (squares overflow)
+    # and mixed magnitudes, with zeros
+    scales = [1.0, 5e-324, 1e-310, 1e-160, 1e154, 1e300, 0.0]
+    vectors = [rng.normal(size=dim) * s for s in scales for _ in range(50)]
+    vectors += [rng.normal(size=dim) * rng.choice(scales, size=dim) for _ in range(500)]
+    with np.errstate(over="ignore"):  # both overflow to inf alike
+        pairs = [(norm(v), np.linalg.norm(v)) for v in vectors]
+    for v, (got, ref) in zip(vectors, pairs):
+        assert type(got) is float
+        assert np.array([got]).view(np.int64) == np.array([ref]).view(np.int64), v
+
+
+@pytest.mark.parametrize("z", [5e-324, 1e-170, 1e-155, -2e-160])
+def test_cone_gradient_is_a_unit_vector_down_to_the_centre(z):
+    # the squares of these coordinates are subnormal or 0; the gradient is
+    # None at the centre only, so the 1-d resolvent's kink rule sees one point
+    cone = resolve_entry("power-potential?p=1").functional
+    assert cone.gradient(np.array([z])).tolist() == [math.copysign(1.0, z)]
+    assert cone.gradient(np.array([0.0])) is None
+    g = resolve_entry("power-potential?p=1&center=0,0").functional.gradient(np.array([z, z]))
+    assert g.tolist() == pytest.approx([math.copysign(0.5**0.5, z)] * 2, rel=1e-15)
 
 
 def test_dense_scan_basins_are_points_not_above_either_neighbour():

@@ -546,8 +546,8 @@ def test_prox_summary_reports_resolvent_facts(tmp_path):
     one_d = run_experiment(ExperimentConfig.from_dict(PROX_CFG), output_root=tmp_path)
     assert one_d.prox_summary["uncertified_steps"] == 0
     # four steps reach the kink; the cone declares convexity 0, so each
-    # resolvent evaluates 3 grid points, f(x) and one refined point
-    assert one_d.prox_summary["resolvent_evals"] == 4 * 5
+    # resolvent solves phi' = 0 on gradients and evaluates f(x) and f(z)
+    assert one_d.prox_summary["resolvent_evals"] == 4 * 2
     two_d = ExperimentConfig.from_dict(
         {
             "id": "q2d",

@@ -74,7 +74,9 @@ with redirect_stderr(io.StringIO()):
     assert main(["run", tmp + "/bad.yaml", "--output", tmp + "/out"]) == 2
 loaded["exit-2"] = scipy_modules()
 
-from klflow.prox import resolvent
+from klflow.prox import ProxControls, resolvent
+resolvent(resolve_entry("quadratic?lambda=1").functional, 0.7, 0.002, ProxControls(n_grid=33))
+loaded["convex-resolvent"] = scipy_modules()
 resolvent(resolve_entry("double-well").functional, 0.5, 0.1)
 loaded["resolvent"] = scipy_modules()
 print(repr(loaded))
@@ -92,9 +94,10 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
-    for step in ("import", "load", "list-corpus", "exit-2"):
+    # a strongly convex 1-D resolvent solves phi' = 0 in Python floats
+    for step in ("import", "load", "list-corpus", "exit-2", "convex-resolvent"):
         assert loaded[step] == [], (step, loaded[step])
-    # a 1-D resolvent solves with brentq, imported on first use
+    # a 1-D resolvent without a modulus refines with brentq, imported on first use
     assert "scipy.optimize" in loaded["resolvent"]
     assert not any(m.startswith("scipy.stats") for m in loaded["resolvent"])
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import signal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -290,6 +291,21 @@ def test_finite_termination_certificate_for_the_cone():
     assert by_kind["discrete-distance-power"].verdict
 
 
+def test_doubly_exponential_certificate_after_exact_zero():
+    # gamma = 3/4: exact iterates reach f = 0 at k = 17, before the entry
+    # index k0 = 31; a resolvent at f = 0 returns its input, so row k0 is
+    # checked with the value 0 it would observe, not skipped
+    e = resolve_entry("power-potential?p=1.3333333333333333")
+    exact = ProxControls(stop_f_tol=0.0, stall_tol=0.0)
+    seq = run_prox_sequence(e.functional, np.array([1.0]), 0.1, n_steps=35, controls=exact)
+    assert seq.fs[-1] == 0.0 and seq.n_iterates - 1 < 31
+    certs = {c.kind: c for c in certify_power_rates_discrete(seq, 0.8, 0.75, r=1.6)}
+    cert = certs["discrete-doubly-exponential"]
+    assert not cert.skipped and cert.verdict and cert.margin > 0.0
+    assert cert.details["k0"] == 31
+    assert (cert.ts.tolist(), cert.observed.tolist()) == ([31.0], [0.0])
+
+
 def test_power_certificates_skip_under_variable_tau():
     e = resolve_entry("quadratic?lambda=1")
     seq = run_prox_sequence(e.functional, np.array([1.0]), [0.5, 0.25, 0.1, 0.1])
@@ -396,8 +412,9 @@ def _count_points(f):
 @pytest.mark.parametrize(
     "entry_id, x, expected",
     [
-        # strongly convex phi: 3 grid points, f(x), and f at the one root of phi'
-        ("quadratic?lambda=1", [1.0], 5),
+        # strongly convex phi: f(x) and f at the root of phi' (the solve reads
+        # only the gradient)
+        ("quadratic?lambda=1", [1.0], 2),
         # no modulus: 1025 grid points, f(x), two tied minimisers, one root each
         ("double-well", [0.0], 1028),
         ("quadratic?center=0,0", [1.0, 0.5], None),  # multistart branch
@@ -433,6 +450,114 @@ def test_cone_sequence_terminates_on_the_kink():
 # within OBJECTIVE_TIE_TOL of the double-well's ridge both wells tie by design,
 # while the closed form names one; x = 0 itself is kept
 _X_1D = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+
+
+def _psi(f, x, tau):
+    """phi' = f' + (z - x)/tau at a float z, None where f has no gradient."""
+
+    def psi(z):
+        g = f.gradient(np.array([z]))
+        return None if g is None else float(g[0]) + (z - x) / tau
+
+    return psi
+
+
+def _exact_convex_resolvent(entry_id, x, tau):
+    """The resolvent of ``quadratic?lambda=l`` or ``power-potential?p=p``
+    (centre 0, scale 1) at x, in 60-digit decimals: the closed forms, else
+    bisection of rho + tau p rho^(p-1) = |x| on [0, |x|].  (The corpus
+    closed form solves that equation with brentq, to only 1e-15 absolute.)"""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        X, T = Decimal(x), Decimal(tau)
+        name, _, arg = entry_id.partition("?")
+        par = Decimal(float(arg.split("=")[1]))
+        if name == "quadratic":
+            return float(X / (1 + par * T))
+        if par == 1:
+            return float(max(abs(X) - T, Decimal(0)).copy_sign(X))
+        if par == 2:
+            return float(X / (1 + 2 * T))
+        lo, hi = Decimal(0), abs(X)
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if mid + T * par * mid ** (par - 1) < abs(X):
+                lo = mid
+            else:
+                hi = mid
+        return float(((lo + hi) / 2).copy_sign(X))
+
+
+@given(
+    entry_id=st.sampled_from(
+        [
+            "quadratic?lambda=1",
+            "quadratic?lambda=3",
+            "power-potential?p=1",
+            "power-potential?p=1.3333333333333333",
+            "power-potential?p=2",
+            "power-potential?p=4",
+        ]
+    ),
+    x=_X_1D,
+    tau=st.floats(0.001, 3.0),
+)
+def test_convex_1d_resolvent_is_a_sign_change_of_phi_prime(entry_id, x, tau):
+    f = resolve_entry(entry_id).functional
+    res = resolvent(f, np.array([x]), tau)
+    (z,) = (float(p[0]) for p in res.points)
+    assert res.certified
+    psi = _psi(f, x, tau)
+    below, here = psi(math.nextafter(z, -math.inf)), psi(z)
+    above = psi(math.nextafter(z, math.inf))
+    if here is None:  # the cone's kink: 0 lies in the subdifferential of phi
+        assert below <= 0.0 <= above
+    else:
+        assert below < 0.0 <= here or here < 0.0 <= above
+    # psi rounds on the scale of its larger term, so the root is as good as
+    # an ulp of |z| or of the step |x - z|, whichever is larger
+    exact = _exact_convex_resolvent(entry_id, x, tau)
+    assert abs(z - exact) <= 2.0 * np.spacing(max(abs(exact), abs(x - exact)))
+
+
+# below about 1e-154 the cone's value underflows to 0, and a resolvent at
+# f(x) = 0 returns x itself
+@given(u=st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6),
+       tau=st.floats(0.001, 3.0))
+def test_cone_resolvent_lands_on_the_centre_exactly(u, tau):
+    # |x| <= tau: the soft threshold is the kink, which float-order
+    # bisection reaches and the kink rule accepts
+    x = u * tau
+    res = resolvent(resolve_entry("power-potential?p=1").functional, np.array([x]), tau)
+    assert res.certified
+    assert [float(p[0]) for p in res.points] == [0.0]
+    assert res.f_values == [0.0]
+
+
+def test_long_quadratic_sequence_oracle_counts():
+    # counts do not depend on the machine, so they guard the 1-d solve's
+    # cost where a timing cannot: per step f(x) and f(z) in the resolvent,
+    # one value call in descending_slope, and about 4.5 gradient probes
+    f = resolve_entry("quadratic?lambda=1").functional
+    calls = {"value": 0, "batch": 0, "gradient": 0}
+
+    def counted(fn, key, points=lambda args: 1):
+        def wrapper(*args):
+            calls[key] += points(args)
+            return fn(*args)
+
+        return wrapper
+
+    g = dataclasses.replace(
+        f,
+        value=counted(f.value, "value"),
+        batch_value=counted(f.batch_value, "batch", lambda args: len(args[0])),
+        smooth_gradient=counted(f.smooth_gradient, "gradient"),
+    )
+    seq = run_prox_sequence(g, np.array([1.0]), 0.002, n_steps=2000,
+                            controls=ProxControls(n_grid=33))
+    assert seq.n_iterates == 2001
+    assert calls == {"value": 6002, "batch": 0, "gradient": 8974}
 
 
 @given(
