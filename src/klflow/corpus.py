@@ -447,14 +447,28 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
     c = as_point(center)
     backend = EuclideanBackend(c.size)
 
+    def dist(u):
+        # where the squares underflow, |u| is s |u / s| with s = max |u_i|
+        sq = u.dot(u)
+        if sq < sys.float_info.min and u.any():
+            s = float(np.abs(u).max())
+            return s * norm(u / s)
+        return math.sqrt(sq)
+
     def value(x):
-        return scale * norm(x - c) ** p
+        return scale * dist(x - c) ** p
 
     def batch_value(xs):
-        return scale * _float_pow(row_norms(xs - c), p)
+        diffs = xs - c
+        ds = row_norms(diffs)
+        # row_norms rounds as dist does; a row whose squares underflowed has
+        # a norm of at most sqrt(float min) = 2^-511, and takes dist
+        for i in np.flatnonzero(ds <= 2.0**-511):
+            ds[i] = dist(diffs[i])
+        return scale * _float_pow(ds, p)
 
     def slope(x):
-        d = norm(x - c)
+        d = dist(x - c)
         if d == 0.0:
             return 0.0
         return scale * p * d ** (p - 1.0)
@@ -488,7 +502,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
         from scipy.optimize import brentq
 
         g = lambda rho: rho + tau * scale * p * rho ** (p - 1.0) - d
-        return brentq(g, 0.0, d, xtol=1e-15, rtol=8.9e-16)
+        return brentq(g, 0.0, d, xtol=1e-300, rtol=8.9e-16)
 
     def resolvent(x, tau):
         x = as_point(x)

@@ -2,44 +2,42 @@
 
 The resolvent of f at x with step tau minimises phi(z) = f(z) + d(x,z)^2 /
 (2 tau).  Since f >= 0 on the benchmark corpus, any minimiser lies in the
-ball of radius sqrt(2 tau f(x)) around x.  A functional that declares a
-convexity modulus lambda with mu = lambda + 1/tau > 0 makes phi mu-strongly
-convex, so phi has one minimiser there and the resolvent makes one solve in
-every dimension (Ambrosio-Gigli-Savare, Ch. 2 and 4).  In one dimension
-that solve finds where phi'(z) = f'(z) + (z - x)/tau, which is increasing,
-changes sign: in Python floats, by Illinois secant steps with bisections in
-float order, down to two adjacent floats, which places the minimiser to
-1 ulp.  A probe where f has no gradient is a kink, accepted when phi' is
-<= 0 one float below it and >= 0 one float above; a float-order bisection
-reaches a representable kink, so the cone's soft threshold lands on its
-centre exactly.  Without a gradient oracle, or where the box ends show no
-sign change, golden section on phi, which is unimodal on the box, pins the
-minimiser to about 1 ulp of the box.  Without a modulus the box is scanned
-on n_grid points and each candidate bracket is refined by one root solve of
-phi' where it changes sign from - to + (across the bracket or one of its
-halves), which places a smooth or kink minimiser to about 4 eps |z|, and
-otherwise by golden section on phi to about 1 ulp.  That value path pins
-kinks and jumps, but phi is flat to rounding over about sqrt(eps) |z|
-around a smooth minimum, so no value-only bracket places one closer than
-about 1e-8 relative.  In several dimensions a strongly convex
-phi takes one local solve from x, certified when |grad phi(z)| / mu, which
-bounds the distance from z to the minimiser, is at most POINT_TIE_TOL
-(1 + |z|) (never at a kink, which has no gradient).  Without a modulus an
-uncertified multistart counts minimisers within MULTISTART_TIE_TOL
-(1 + |z|) as one, since a value-only local search stops anywhere in the
-flat region around a smooth minimum.
+ball of radius sqrt(2 tau f(x)) around x.  In one dimension every root,
+for the resolvent a root of phi'(z) = f'(z) + (z - x)/tau, comes from one
+float solve, ``_float_root``: a sign change at two adjacent floats, with a
+rule for kinks that places the cone's soft threshold on its centre.
+
+A functional that declares a convexity modulus lambda with mu = lambda +
+1/tau > 0 makes phi mu-strongly convex, so phi has one minimiser in the
+ball and the resolvent makes one solve in every dimension
+(Ambrosio-Gigli-Savare, Ch. 2 and 4).  In one dimension phi' is increasing
+and the float solve on the box places the minimiser to 1 ulp; without a
+gradient oracle, or where the box ends show no sign change, golden section
+on phi, which is unimodal on the box, pins it to about 1 ulp of the box.
+Without a modulus the box is scanned on n_grid points and each candidate
+bracket is refined by the float solve on phi' (across the bracket, else
+across one of its halves), and otherwise by golden section on phi to
+about 1 ulp.  That value path pins kinks and jumps, but phi is flat to
+rounding over about sqrt(eps) |z| around a smooth minimum, so no
+value-only bracket places one closer than about 1e-8 relative.  In
+several dimensions a strongly convex phi takes one local solve from x,
+certified when |grad phi(z)| / mu, which bounds the distance from z to
+the minimiser, is at most POINT_TIE_TOL (1 + |z|) (never at a kink, which
+has no gradient).  Without a modulus an uncertified multistart counts
+minimisers within MULTISTART_TIE_TOL (1 + |z|) as one, since a value-only
+local search stops anywhere in the flat region around a smooth minimum.
 
 The module also evaluates the De Giorgi variational-interpolation identity
 for a single step, per-step monotonicity/stationarity inequalities, the
 pairwise theta-distance bounds along an iterate sequence, closed-form decay
 bounds (geometric, finite-termination, doubly-exponential, polynomial)
 driven by a power parameter function, and the one-variable recursion
-u_{k+1} + alpha u_{k+1}^delta <= u_k behind those bounds.
+u_{k+1} + alpha u_{k+1}^delta <= u_k behind those bounds, whose extremal
+sequence takes the same float solve.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -62,8 +60,6 @@ from .theta import ParameterFunction
 
 BOX_SLACK = 1e-6  #: relative widening of the box that holds every minimiser
 EPS = float(np.finfo(float).eps)  #: double-precision machine epsilon
-ROOT_RTOL = 4.0 * EPS  #: relative tolerance of the 1-d root solve on phi' (scipy's floor)
-ROOT_XTOL = 1e-18  #: absolute tolerance of that root solve, for minimisers near 0
 OBJECTIVE_TIE_TOL = 1e-10  #: relative objective gap of tied minimisers
 POINT_TIE_TOL = 1e-9  #: relative distance under which two minimisers are one
 MULTISTART_TIE_TOL = math.sqrt(EPS)  #: the same distance for the n-d multistart
@@ -210,31 +206,31 @@ def _unordered(k: int) -> float:
     return z if k >= 0 else -z
 
 
-def _convex_root_1d(
-    f: Functional, xval: float, tau: float, lo: float, hi: float
-) -> Optional[float]:
-    """The minimiser of a strongly convex phi on [lo, hi], from the sign of
-    psi = phi' = f' + (z - xval)/tau, or None when the oracle cannot show it.
-
-    psi is increasing, so psi(lo) < 0 < psi(hi) brackets the minimiser, and
-    the bracket closes on two adjacent floats with psi < 0 at the left and
-    >= 0 at the right; the end with the smaller |psi| is returned.  Steps are
-    Illinois secant steps; when a step leaves more than half the floats the
-    bracket held two steps before, a bisection in float order follows, so
-    at most about 64 bisections are taken.  A probe without a gradient is a
-    kink; it is the minimiser when psi <= 0 one float below it and psi >= 0
-    one float above it, since the subdifferential of phi there spans that
-    interval, and otherwise it takes the sign of psi one float below it.
-    None when f has no gradient oracle, the box ends do not bracket, or a
-    kink has a kink for neighbour.
-    """
-    if f.smooth_gradient is None:
-        return None
+def _psi_1d(f: Functional, xval: float, tau: float):
+    """psi = phi' = f' + (z - xval)/tau at a float z, None where f has no gradient."""
 
     def psi(z: float) -> Optional[float]:
         g = f.gradient(np.array([z]))
         return None if g is None else float(g[0]) + (z - xval) / tau
 
+    return psi
+
+
+def _float_root(psi, lo: float, hi: float) -> Optional[float]:
+    """A sign change of ``psi`` from - to + at two adjacent floats of
+    [lo, hi], or None when the ends do not show psi(lo) < 0 < psi(hi).
+
+    The bracket closes on two adjacent floats with psi < 0 at the left and
+    >= 0 at the right; the end with the smaller |psi| is returned, which for
+    an increasing psi places its root to 1 ulp.  Steps are Illinois secant
+    steps; when a step leaves more than half the floats the bracket held two
+    steps before, a bisection in float order follows, so at most about 64
+    bisections are taken.  A probe where psi is None is a kink; it is the
+    root when psi <= 0 one float below it and psi >= 0 one float above it
+    (for psi = phi' the subdifferential of phi there spans that interval),
+    and otherwise it takes the sign of psi one float below it.  None also
+    when a kink has a kink for neighbour.
+    """
     pa, pb = psi(lo), psi(hi)
     if pa is None or pb is None or not pa < 0.0 < pb:
         return None
@@ -305,10 +301,6 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float
     return (c1 if f1 <= f2 else c2), a, b
 
 
-class _NoGradient(Exception):
-    """A probe of phi' landed where f has no gradient."""
-
-
 def _refine_1d(
     f: Functional, xval: float, tau: float, grid: np.ndarray, vals: np.ndarray, cand: List[int]
 ) -> Tuple[List[Tuple[float, float]], Dict[float, float]]:
@@ -318,8 +310,6 @@ def _refine_1d(
     Returns (phi(z), z) per candidate and f at each refined z; no point is
     evaluated twice.
     """
-    from scipy.optimize import brentq
-
     f_at: Dict[float, float] = {}
 
     def phi(z: float) -> float:
@@ -327,30 +317,16 @@ def _refine_1d(
             f_at[z] = f.value(np.array([z]))
         return f_at[z] + (z - xval) * (z - xval) / (2.0 * tau)
 
-    @functools.cache  # brentq probes the bracket ends again
-    def psi(z: float) -> float:
-        g = f.gradient(np.array([z]))
-        if g is None:
-            raise _NoGradient
-        return float(g[0]) + (z - xval) / tau
-
+    psi = _psi_1d(f, xval, tau)
     refined = []
     for i in cand:
         lo, mid, hi = grid[max(i - 1, 0)], grid[i], grid[min(i + 1, grid.size - 1)]
-        z = None
-        try:
-            # the whole bracket first; a kink between grid[i] and an end can
-            # hide the sign change there, so the halves are tried next
-            for a, b in ((lo, hi), (lo, mid), (mid, hi)):
-                if psi(a) < 0.0 < psi(b):
-                    root, info = brentq(
-                        psi, a, b, xtol=ROOT_XTOL, rtol=ROOT_RTOL, full_output=True, disp=False
-                    )
-                    # a jump of psi in a wide bracket can outlast brentq's 100 steps
-                    z = root if info.converged else None
-                    break
-        except _NoGradient:
-            pass
+        # the whole bracket first; a kink between grid[i] and an end can
+        # hide the sign change there, so the halves are tried next
+        for a, b in ((lo, hi), (lo, mid), (mid, hi)):
+            z = _float_root(psi, float(a), float(b))
+            if z is not None:
+                break
         if z is not None and phi(z) > vals[i] + 4e-16 * (1.0 + abs(vals[i])):
             z = None
         if z is None:
@@ -406,7 +382,7 @@ def resolvent(
                 f_at[z] = f.value(np.array([z]))
             return f_at[z] + (z - xval) * (z - xval) / (2.0 * tau)
 
-        z = _convex_root_1d(f, xval, tau, lo, hi)
+        z = _float_root(_psi_1d(f, xval, tau), lo, hi)
         if z is None:
             # f >= 0 gives phi(x) < radius^2/(2 tau) <= phi(x +- radius), so
             # the strongly convex phi is unimodal on the box
@@ -732,8 +708,6 @@ def ioffe_distance_check(
     the bound to be a theorem; the empirical strip minimum of the sampled
     slope is reported alongside so callers can audit that premise.
     """
-    from scipy.optimize import brentq
-
     x = as_point(x)
     if x.size != 1:
         raise ValueError("the scan-based check is one dimensional")
@@ -759,14 +733,14 @@ def ioffe_distance_check(
             # sharpen across the crossing cell when a neighbour is above level
             for jn in (i - 1, i + 1):
                 if 0 <= jn < IOFFE_GRID and not below[jn]:
-                    try:
-                        root = brentq(
-                            lambda z: f.value(np.array([z])) - delta, min(g, grid[jn]),
-                            max(g, grid[jn]), xtol=1e-13,
-                        )
+                    # f - delta, signed to be negative at the end below level
+                    side = 1.0 if jn > i else -1.0
+                    root = _float_root(
+                        lambda z: side * (f.value(np.array([z])) - delta),
+                        float(min(g, grid[jn])), float(max(g, grid[jn])),
+                    )
+                    if root is not None:
                         cand = min(cand, abs(root - xval))
-                    except ValueError:
-                        pass
             dist = min(dist, cand)
         else:
             strip_slope = min(strip_slope, descending_slope(f, np.array([g])).value)
@@ -854,15 +828,14 @@ def recursive_bound(params: RecursiveBoundParams, k: int) -> float:
 def recursion_equality_sequence(params: RecursiveBoundParams, n: int) -> np.ndarray:
     """Extremal sequence solving u_{k+1} + alpha u_{k+1}^delta = u_k exactly.
 
-    Closed stable forms for delta in {1/2, 1, 2}, bracketed root otherwise.
+    Closed stable forms for delta in {1/2, 1, 2}, otherwise a sign change
+    of u + alpha u^delta - u_k at adjacent floats of [0, u_k].
     """
-    from scipy.optimize import brentq
-
     a, d = params.alpha, params.delta
     out = np.empty(n + 1)
     out[0] = params.f0
     for k in range(n):
-        prev = out[k]
+        prev = float(out[k])
         if prev <= 0.0:
             out[k + 1] = 0.0
             continue
@@ -874,9 +847,10 @@ def recursion_equality_sequence(params: RecursiveBoundParams, n: int) -> np.ndar
         elif d == 2.0:
             out[k + 1] = 2.0 * prev / (1.0 + math.sqrt(1.0 + 4.0 * a * prev))
         else:
-            out[k + 1] = brentq(
-                lambda u: u + a * u**d - prev, 0.0, prev, xtol=1e-300, rtol=8.9e-16
-            )
+            root = _float_root(lambda u: u + a * u**d - prev, 0.0, prev)
+            # None only when alpha prev^delta is lost in prev + alpha prev^delta:
+            # then prev itself solves the equation in floats
+            out[k + 1] = prev if root is None else root
     return out
 
 

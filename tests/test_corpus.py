@@ -324,3 +324,20 @@ def test_brute_force_same_without_batch_oracle(entry_id):
     assert _bits([got.value]) == _bits([ref.value])
     assert [_bits(t) for t in got.ties] == [_bits(t) for t in ref.ties]
     assert got.on_boundary == ref.on_boundary
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+def test_power_potential_value_keeps_its_magnitude_where_squares_underflow(p):
+    # rescaled by max |u_i| as the gradient is, the distance is |z| down to
+    # the subnormals; the batched oracle keeps matching the scalar one
+    f = resolve_entry(f"power-potential?p={p}").functional
+    zs = [5e-324, -1e-310, 9.4e-299, -1e-170, 2.0**-511, math.nextafter(2.0**-511, 1.0), 1e-150, 0.0]
+    pts = np.array(zs)[:, None]
+    assert _bits(f.values(pts)) == _bits([f.value(q) for q in pts])
+    assert [f.value(q) for q in pts] == [abs(z) ** p for z in zs]
+    if p == 1.0:
+        assert [f.analytic_slope(q) for q in pts] == [1.0] * 7 + [0.0]
+    f2 = resolve_entry(f"power-potential?p={p}&center=0,0").functional
+    pts2 = np.array([[z, -z] for z in zs])
+    assert _bits(f2.values(pts2)) == _bits([f2.value(q) for q in pts2])
+    assert f2.value(np.array([3e-200, -4e-200])) == pytest.approx(5e-200**p, rel=1e-15)

@@ -79,6 +79,10 @@ resolvent(resolve_entry("quadratic?lambda=1").functional, 0.7, 0.002, ProxContro
 loaded["convex-resolvent"] = scipy_modules()
 resolvent(resolve_entry("double-well").functional, 0.5, 0.1)
 loaded["resolvent"] = scipy_modules()
+
+from klflow.prox import recursion_equality_sequence, recursive_bound_params
+recursion_equality_sequence(recursive_bound_params(1.0, 1.7, 1.0), 20)
+loaded["recursion"] = scipy_modules()
 print(repr(loaded))
 """
 
@@ -94,12 +98,11 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
-    # a strongly convex 1-D resolvent solves phi' = 0 in Python floats
-    for step in ("import", "load", "list-corpus", "exit-2", "convex-resolvent"):
+    # every 1-D resolvent, with a modulus or without, and the recursion find
+    # their roots in Python floats
+    for step in ("import", "load", "list-corpus", "exit-2", "convex-resolvent",
+                 "resolvent", "recursion"):
         assert loaded[step] == [], (step, loaded[step])
-    # a 1-D resolvent without a modulus refines with brentq, imported on first use
-    assert "scipy.optimize" in loaded["resolvent"]
-    assert not any(m.startswith("scipy.stats") for m in loaded["resolvent"])
 
 
 def test_public_names_are_the_pinned_list():

@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -207,6 +207,10 @@ def test_ioffe_strip_bound():
     assert ok["bound"] == pytest.approx(1.5)
     assert ok["margin"] == pytest.approx(0.5, abs=1e-3)
     assert ok["strip_slope_min"] >= 1.0
+    # the crossing of f = 0.5 at |z| = 1 is refined from either side
+    for x in (2.1, -3.3):
+        got = ioffe_distance_check(e.functional, np.array([x]), 0.5, 1.0)["distance"]
+        assert got == pytest.approx(abs(x) - 1.0, abs=4e-16)
     # an overstated slope lower bound shrinks the claim below the true distance
     bad = ioffe_distance_check(e.functional, np.array([2.0]), 0.5, 4.0)
     assert not bad["holds"] and bad["margin"] < 0
@@ -245,6 +249,19 @@ def test_recursion_parameters_end_when_the_optimum_passes_float_spacing():
     # the two branches alpha (delta - 1)/R and sqrt(R) - 1 cross at the optimum
     r_cross = brentq(lambda r: math.sqrt(r) - 1.0 - 4e8 / r, 1.0, 1e6, xtol=1e-12)
     assert p.poly_c == pytest.approx(4e8 / r_cross, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1.7, 3.0])
+def test_recursion_steps_are_sign_changes_at_adjacent_floats(delta):
+    for alpha, f0 in ((1.0, 1.0), (0.3, 2.0)):
+        u = recursion_equality_sequence(recursive_bound_params(alpha, delta, f0), 300)
+        for prev, z in zip(u[:-1].tolist(), u[1:].tolist()):
+
+            def g(v):
+                return v + alpha * v**delta - prev
+
+            below, here, above = g(math.nextafter(z, -math.inf)), g(z), g(math.nextafter(z, math.inf))
+            assert below < 0.0 <= here or here < 0.0 <= above, (alpha, f0, prev, z)
 
 
 @given(
@@ -466,7 +483,7 @@ def _exact_convex_resolvent(entry_id, x, tau):
     """The resolvent of ``quadratic?lambda=l`` or ``power-potential?p=p``
     (centre 0, scale 1) at x, in 60-digit decimals: the closed forms, else
     bisection of rho + tau p rho^(p-1) = |x| on [0, |x|].  (The corpus
-    closed form solves that equation with brentq, to only 1e-15 absolute.)"""
+    closed form solves that equation with brentq to 4 eps relative.)"""
     with localcontext() as ctx:
         ctx.prec = 60
         X, T = Decimal(x), Decimal(tau)
@@ -520,18 +537,32 @@ def test_convex_1d_resolvent_is_a_sign_change_of_phi_prime(entry_id, x, tau):
     assert abs(z - exact) <= 2.0 * np.spacing(max(abs(exact), abs(x - exact)))
 
 
-# below about 1e-154 the cone's value underflows to 0, and a resolvent at
-# f(x) = 0 returns x itself
-@given(u=st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6),
-       tau=st.floats(0.001, 3.0))
+def test_power_potential_closed_form_resolvent_is_exact_near_the_centre():
+    # the root lies 2e-11 from the centre; an absolute stop of 1e-15 on it
+    # was 1.2e-5 off in relative terms
+    entry_id = "power-potential?p=1.3333333333333333"
+    x, tau = -4.8e-4, 1.32
+    (z,) = resolve_entry(entry_id).analytic_resolvent(np.array([x]), tau)
+    exact = _exact_convex_resolvent(entry_id, x, tau)
+    assert abs(float(z[0]) - exact) <= 4.0 * np.finfo(float).eps * abs(exact)
+
+
+@given(u=st.floats(-1.0, 1.0), tau=st.floats(0.001, 3.0))
+@example(u=9.4e-299, tau=1.0)  # x^2 underflows, f(x) must not
 def test_cone_resolvent_lands_on_the_centre_exactly(u, tau):
     # |x| <= tau: the soft threshold is the kink, which float-order
     # bisection reaches and the kink rule accepts
     x = u * tau
     res = resolvent(resolve_entry("power-potential?p=1").functional, np.array([x]), tau)
     assert res.certified
-    assert [float(p[0]) for p in res.points] == [0.0]
-    assert res.f_values == [0.0]
+    (z,) = (float(p[0]) for p in res.points)
+    if x == -tau:
+        # (z - x)/tau rounds to 1 on the floats just left of the centre, so
+        # psi reads 0 there and the sign change closes an ulp of tau short
+        assert -np.spacing(tau) <= z <= 0.0
+    else:
+        assert z == 0.0
+        assert res.f_values == [0.0]
 
 
 def test_long_quadratic_sequence_oracle_counts():
