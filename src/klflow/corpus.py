@@ -447,12 +447,17 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
     c = as_point(center)
     backend = EuclideanBackend(c.size)
 
+    def rescale(u):
+        # u = s v with s = max |u_i|, for u whose squares underflow: the
+        # squares of v do not
+        s = float(np.abs(u).max())
+        return s, u / s
+
     def dist(u):
-        # where the squares underflow, |u| is s |u / s| with s = max |u_i|
         sq = u.dot(u)
         if sq < sys.float_info.min and u.any():
-            s = float(np.abs(u).max())
-            return s * norm(u / s)
+            s, v = rescale(u)
+            return s * norm(v)
         return math.sqrt(sq)
 
     def value(x):
@@ -475,20 +480,15 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
 
     def gradient(x):
         u = x - c
-        sq = u.dot(u)
-        if sq < sys.float_info.min and u.any():
-            # the squares are subnormal: rescaled by s = max |u_i|, the
-            # distance s n is 0 only at the centre and the direction v / n
-            # keeps unit length, so a kink has no gradient-free halo
-            s = float(np.abs(u).max())
-            v = u / s
-            n = norm(v)
-            return scale * p * (s * n) ** (p - 1.0) * (v / n)
-        d = math.sqrt(sq)
+        d = dist(u)
         if d == 0.0:
-            if p >= 2.0 or p == 1.0:
-                return None if p == 1.0 else np.zeros_like(c)
-            return np.zeros_like(c)  # 1 < p < 2: C^1 with vanishing gradient
+            # the cone's kink; for p > 1 the gradient vanishes at the centre
+            return None if p == 1.0 else np.zeros_like(c)
+        if d < 2.0**-511:
+            # the squares underflowed (dist rescaled u): the direction v / |v|
+            # keeps unit length, so a kink has no gradient-free halo
+            _, v = rescale(u)
+            return scale * p * d ** (p - 1.0) * (v / norm(v))
         return scale * p * d ** (p - 2.0) * u
 
     def radial_resolvent(d: float, tau: float) -> float:
@@ -506,15 +506,15 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
 
     def resolvent(x, tau):
         x = as_point(x)
-        d = norm(x - c)
+        d = dist(x - c)
         if d == 0.0:
             return [c.copy()]
         rho = radial_resolvent(d, tau)
-        return [c + rho * (x - c) / d]
+        return [c + rho * ((x - c) / d)]
 
     def trajectory(x0, policy="positive-branch"):
         x0 = as_point(x0)
-        d0 = norm(x0 - c)
+        d0 = dist(x0 - c)
         if d0 == 0.0:
             return lambda t: c.copy()
         u = (x0 - c) / d0

@@ -207,11 +207,26 @@ def _unordered(k: int) -> float:
 
 
 def _psi_1d(f: Functional, xval: float, tau: float):
-    """psi = phi' = f' + (z - xval)/tau at a float z, None where f has no gradient."""
+    """psi = phi' = f' + (z - xval)/tau at a float z, None where f has no
+    gradient; each z is probed once.
+
+    A float sum is 0 only when it is exact, so where psi reads 0 its sign is
+    that of the rounding error of z - xval, which is exact (two-sum) and
+    divided by tau.  Without that, psi reads 0 on the floats z next to 0 when
+    xval = -tau (z - xval rounds to tau), and a root there stops short of a
+    kink at 0.
+    """
+    at: Dict[float, Optional[float]] = {}
 
     def psi(z: float) -> Optional[float]:
-        g = f.gradient(np.array([z]))
-        return None if g is None else float(g[0]) + (z - xval) / tau
+        if z not in at:
+            g = f.gradient(np.array([z]))
+            d = z - xval
+            at[z] = None if g is None else float(g[0]) + d / tau
+            if at[z] == 0.0:  # two-sum: the rounding error of d
+                back = d - z
+                at[z] = ((z - (d - back)) + (-xval - back)) / tau
+        return at[z]
 
     return psi
 
@@ -224,12 +239,12 @@ def _float_root(psi, lo: float, hi: float) -> Optional[float]:
     >= 0 at the right; the end with the smaller |psi| is returned, which for
     an increasing psi places its root to 1 ulp.  Steps are Illinois secant
     steps; when a step leaves more than half the floats the bracket held two
-    steps before, a bisection in float order follows, so at most about 64
-    bisections are taken.  A probe where psi is None is a kink; it is the
-    root when psi <= 0 one float below it and psi >= 0 one float above it
-    (for psi = phi' the subdifferential of phi there spans that interval),
-    and otherwise it takes the sign of psi one float below it.  None also
-    when a kink has a kink for neighbour.
+    steps before, a bisection in float order follows (at 0 when 0 lies
+    inside), so at most about 65 bisections are taken.  A probe where psi is
+    None is a kink; it is the root when psi <= 0 one float below it and
+    psi >= 0 one float above it (for psi = phi' the subdifferential of phi
+    there spans that interval), and otherwise it takes the sign of psi one
+    float below it.  None also when a kink has a kink for neighbour.
     """
     pa, pb = psi(lo), psi(hi)
     if pa is None or pb is None or not pa < 0.0 < pb:
@@ -242,7 +257,9 @@ def _float_root(psi, lo: float, hi: float) -> Optional[float]:
     while kb - ka > 1:
         width = kb - ka
         if bisect:
-            kz = (ka + kb) // 2
+            # 0 (a kink of the cone's centre) is halfway in float order only
+            # for ends of mirrored magnitude, so it is probed first
+            kz = 0 if ka < 0 < kb else (ka + kb) // 2
             z = _unordered(kz)
         else:
             z = b - wb * (b - a) / (wb - wa)

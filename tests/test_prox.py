@@ -5,6 +5,7 @@ import math
 import re
 import signal
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -470,11 +471,17 @@ _X_1D = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
 
 
 def _psi(f, x, tau):
-    """phi' = f' + (z - x)/tau at a float z, None where f has no gradient."""
+    """phi' = f' + (z - x)/tau at a float z, None where f has no gradient.
+    Where that float sum is 0, the rounding error of z - x over tau, in
+    exact rationals."""
 
     def psi(z):
         g = f.gradient(np.array([z]))
-        return None if g is None else float(g[0]) + (z - x) / tau
+        if g is None:
+            return None
+        d = z - x
+        p = float(g[0]) + d / tau
+        return p if p != 0.0 else float((Fraction(z) - Fraction(x) - Fraction(d)) / Fraction(tau))
 
     return psi
 
@@ -537,11 +544,14 @@ def test_convex_1d_resolvent_is_a_sign_change_of_phi_prime(entry_id, x, tau):
     assert abs(z - exact) <= 2.0 * np.spacing(max(abs(exact), abs(x - exact)))
 
 
-def test_power_potential_closed_form_resolvent_is_exact_near_the_centre():
+@pytest.mark.parametrize("entry_id, x, tau", [
     # the root lies 2e-11 from the centre; an absolute stop of 1e-15 on it
     # was 1.2e-5 off in relative terms
-    entry_id = "power-potential?p=1.3333333333333333"
-    x, tau = -4.8e-4, 1.32
+    ("power-potential?p=1.3333333333333333", -4.8e-4, 1.32),
+    # x^2 underflows, so a plain norm puts x on the centre
+    ("power-potential?p=2", 1e-160, 0.7),
+])
+def test_power_potential_closed_form_resolvent_is_exact_near_the_centre(entry_id, x, tau):
     (z,) = resolve_entry(entry_id).analytic_resolvent(np.array([x]), tau)
     exact = _exact_convex_resolvent(entry_id, x, tau)
     assert abs(float(z[0]) - exact) <= 4.0 * np.finfo(float).eps * abs(exact)
@@ -549,20 +559,16 @@ def test_power_potential_closed_form_resolvent_is_exact_near_the_centre():
 
 @given(u=st.floats(-1.0, 1.0), tau=st.floats(0.001, 3.0))
 @example(u=9.4e-299, tau=1.0)  # x^2 underflows, f(x) must not
+@example(u=-1.0, tau=1.0)  # z - x rounds to tau on the floats left of 0
+@example(u=-1.0, tau=2.63)
 def test_cone_resolvent_lands_on_the_centre_exactly(u, tau):
     # |x| <= tau: the soft threshold is the kink, which float-order
     # bisection reaches and the kink rule accepts
     x = u * tau
     res = resolvent(resolve_entry("power-potential?p=1").functional, np.array([x]), tau)
     assert res.certified
-    (z,) = (float(p[0]) for p in res.points)
-    if x == -tau:
-        # (z - x)/tau rounds to 1 on the floats just left of the centre, so
-        # psi reads 0 there and the sign change closes an ulp of tau short
-        assert -np.spacing(tau) <= z <= 0.0
-    else:
-        assert z == 0.0
-        assert res.f_values == [0.0]
+    assert [float(p[0]) for p in res.points] == [0.0]
+    assert res.f_values == [0.0]
 
 
 def test_long_quadratic_sequence_oracle_counts():
