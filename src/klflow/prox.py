@@ -208,7 +208,7 @@ def _unordered(k: int) -> float:
 
 def _psi_1d(f: Functional, xval: float, tau: float):
     """psi = phi' = f' + (z - xval)/tau at a float z, None where f has no
-    gradient; each z is probed once.
+    gradient.
 
     A float sum is 0 only when it is exact, so where psi reads 0 its sign is
     that of the rounding error of z - xval, which is exact (two-sum) and
@@ -216,17 +216,17 @@ def _psi_1d(f: Functional, xval: float, tau: float):
     xval = -tau (z - xval rounds to tau), and a root there stops short of a
     kink at 0.
     """
-    at: Dict[float, Optional[float]] = {}
 
     def psi(z: float) -> Optional[float]:
-        if z not in at:
-            g = f.gradient(np.array([z]))
-            d = z - xval
-            at[z] = None if g is None else float(g[0]) + d / tau
-            if at[z] == 0.0:  # two-sum: the rounding error of d
-                back = d - z
-                at[z] = ((z - (d - back)) + (-xval - back)) / tau
-        return at[z]
+        g = f.gradient(np.array([z]))
+        if g is None:
+            return None
+        d = z - xval
+        value = float(g[0]) + d / tau
+        if value == 0.0:  # two-sum: the rounding error of d
+            back = d - z
+            value = ((z - (d - back)) + (-xval - back)) / tau
+        return value
 
     return psi
 
@@ -334,7 +334,15 @@ def _refine_1d(
             f_at[z] = f.value(np.array([z]))
         return f_at[z] + (z - xval) * (z - xval) / (2.0 * tau)
 
-    psi = _psi_1d(f, xval, tau)
+    # the tried brackets share their ends, so each z is probed once
+    psi_at: Dict[float, Optional[float]] = {}
+    psi_1d = _psi_1d(f, xval, tau)
+
+    def psi(z: float) -> Optional[float]:
+        if z not in psi_at:
+            psi_at[z] = psi_1d(z)
+        return psi_at[z]
+
     refined = []
     for i in cand:
         lo, mid, hi = grid[max(i - 1, 0)], grid[i], grid[min(i + 1, grid.size - 1)]

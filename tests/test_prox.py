@@ -564,11 +564,17 @@ def test_power_potential_closed_form_resolvent_is_exact_near_the_centre(entry_id
 def test_cone_resolvent_lands_on_the_centre_exactly(u, tau):
     # |x| <= tau: the soft threshold is the kink, which float-order
     # bisection reaches and the kink rule accepts
+    f = resolve_entry("power-potential?p=1").functional
+    probes = []
+    counted = dataclasses.replace(f, smooth_gradient=lambda z: probes.append(z) or f.gradient(z))
     x = u * tau
-    res = resolvent(resolve_entry("power-potential?p=1").functional, np.array([x]), tau)
+    res = resolvent(counted, np.array([x]), tau)
     assert res.certified
     assert [float(p[0]) for p in res.points] == [0.0]
     assert res.f_values == [0.0]
+    # the first bisection probes 0; the midpoint of the ends' float-order
+    # positions would take 85 probes or more to isolate it
+    assert len(probes) <= 6
 
 
 def test_long_quadratic_sequence_oracle_counts():
