@@ -4,18 +4,21 @@ Points are plain 1-D float arrays.  Objectives take values in [0, +inf];
 ``math.inf`` marks points outside the effective domain and compares greater
 than every finite value, which is all the extended arithmetic we need.  The
 module also holds what every layer shares: the branch policies, the checks
-of numeric settings, the dense scan, and the JSON and CSV output formats.
+of numeric settings, the 1-D scalar primitives (the dense scan, the float
+root solve and golden-section search), and the JSON and CSV output formats.
 """
 from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 INF = math.inf
+EPS = float(np.finfo(float).eps)  #: double-precision machine epsilon
 
 FLOW_POLICIES = ("positive-branch", "negative-branch", "lexicographic")
 PROX_POLICIES = ("smallest-distance", *FLOW_POLICIES)
@@ -236,3 +239,103 @@ def dense_scan(
     low[1:] &= vals[1:] <= vals[:-1]
     low[:-1] &= vals[:-1] <= vals[1:]
     return DenseScan(grid, vals, np.flatnonzero(low))
+
+
+def _ordered(z: float) -> int:
+    """The position of ``z`` in float order: adjacent floats differ by 1, and
+    -0.0 and 0.0 are both 0."""
+    (k,) = struct.unpack("<q", struct.pack("<d", z))
+    return k if k >= 0 else -(k + 2**63)
+
+
+def _unordered(k: int) -> float:
+    """The float at position ``k`` of float order (inverse of ``_ordered``)."""
+    (z,) = struct.unpack("<d", struct.pack("<q", abs(k)))
+    return z if k >= 0 else -z
+
+
+def float_root(psi, lo: float, hi: float) -> Optional[float]:
+    """A sign change of ``psi`` from - to + at two adjacent floats of
+    [lo, hi], or None when the ends do not show psi(lo) < 0 < psi(hi).
+
+    The bracket closes on two adjacent floats with psi < 0 at the left and
+    >= 0 at the right; the end with the smaller |psi| is returned, which for
+    an increasing psi places its root to 1 ulp.  Steps are Illinois secant
+    steps; when a step leaves more than half the floats the bracket held two
+    steps before, a bisection in float order follows (at 0 when 0 lies
+    inside), so at most about 65 bisections are taken.  A probe where psi is
+    None is a kink; it is the root when psi <= 0 one float below it and
+    psi >= 0 one float above it (for psi = phi' the subdifferential of phi
+    there spans that interval), and otherwise it takes the sign of psi one
+    float below it.  None also when a kink has a kink for neighbour.
+    """
+    pa, pb = psi(lo), psi(hi)
+    if pa is None or pb is None or not pa < 0.0 < pb:
+        return None
+    a, b, ka, kb = lo, hi, _ordered(lo), _ordered(hi)
+    wa, wb = pa, pb  # secant weights; Illinois halves the one kept twice
+    kept = 0  # -1 after a probe replaced a, 1 after one replaced b
+    bisect = False
+    before = kb - ka  # the bracket's float count before the last step
+    while kb - ka > 1:
+        width = kb - ka
+        if bisect:
+            # 0 (a kink of the cone's centre) is halfway in float order only
+            # for ends of mirrored magnitude, so it is probed first
+            kz = 0 if ka < 0 < kb else (ka + kb) // 2
+            z = _unordered(kz)
+        else:
+            z = b - wb * (b - a) / (wb - wa)
+            if not a < z < b:  # on an end (or NaN): step one float inside
+                z = math.nextafter(a, INF) if z <= a else math.nextafter(b, -INF)
+            kz = _ordered(z)
+        pz = psi(z)
+        if pz is None:
+            pz, above = psi(math.nextafter(z, -INF)), psi(math.nextafter(z, INF))
+            if pz is None or above is None:
+                return None
+            if pz <= 0.0 <= above:
+                return z
+        if pz < 0.0:
+            a, pa, wa, ka = z, pz, pz, kz
+            if kept < 0:
+                wb *= 0.5
+            kept = -1
+        else:
+            b, pb, wb, kb = z, pz, pz, kz
+            if kept > 0:
+                wa *= 0.5
+            kept = 1
+        bisect = 2 * (kb - ka) > before
+        before = width
+    return a if -pa < pb else b
+
+
+def golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float, float]:
+    """Golden-section search for a minimum of a unimodal ``fun`` on [lo, hi].
+
+    Shrinks the bracket until it is at most ``tol`` wide, or until a step
+    leaves it unchanged, which happens when ``tol`` is below the float
+    spacing at max(|lo|, |hi|).  Returns the better of the two interior
+    points and the final bracket.  A maximum is found by minimising
+    ``-fun``: negation is exact, so the bracket sequence is that of a search
+    on ``fun`` with both comparisons flipped.
+    """
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c1 = b - ratio * (b - a)
+    c2 = a + ratio * (b - a)
+    f1, f2 = fun(c1), fun(c2)
+    while b - a > tol:
+        before = (a, b)
+        if f1 > f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + ratio * (b - a)
+            f2 = fun(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - ratio * (b - a)
+            f1 = fun(c1)
+        if (a, b) == before:
+            break
+    return (c1 if f1 <= f2 else c2), a, b

@@ -18,7 +18,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .core import (
-    EuclideanBackend, Functional, as_point, dense_scan, norm, pick_branch, row_norms
+    EPS, EuclideanBackend, Functional, as_point, dense_scan, golden_section, norm,
+    pick_branch, row_norms,
 )
 from .theta import ParameterFunction, make_power_theta
 
@@ -636,8 +637,6 @@ def brute_force_minimiser(entry: CorpusEntry) -> BruteForceResult:
     ``on_boundary`` flags an argmin at the box edge, which makes the result
     inconclusive as a global statement.
     """
-    from scipy.optimize import minimize_scalar
-
     f = entry.functional
     if f.backend.dimension != 1:
         raise ValueError("brute_force_minimiser supports 1-D functionals")
@@ -648,18 +647,14 @@ def brute_force_minimiser(entry: CorpusEntry) -> BruteForceResult:
     v_best = float(vals[i_best])
     h = (hi - lo) / (BRUTE_FORCE_GRID - 1)
 
-    # refine the few best non-flat candidates
+    # refine the few best non-flat candidates to the resolvent's value-path width
+    value = lambda x: float(f.value(np.array([x])))
     order = np.argsort(vals)
     refined: List[Tuple[float, float]] = []
     for i in order[:5]:
-        a, b = max(lo, xs[i] - 2 * h), min(hi, xs[i] + 2 * h)
-        res = minimize_scalar(
-            lambda x: f.value(np.array([x])),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": 1e-12 * max(1.0, abs(xs[i]))},
-        )
-        refined.append((float(res.x), float(res.fun)))
+        a, b = float(max(lo, xs[i] - 2 * h)), float(min(hi, xs[i] + 2 * h))
+        x, _, _ = golden_section(value, a, b, 2.0 * EPS * max(1.0, abs(a), abs(b)))
+        refined.append((x, value(x)))
     refined.append((float(xs[i_best]), v_best))
     v_opt = min(v for _, v in refined)
     x_opt = min(x for x, v in refined if v <= v_opt + BRUTE_FORCE_TIE_TOL)

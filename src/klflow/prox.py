@@ -4,8 +4,9 @@ The resolvent of f at x with step tau minimises phi(z) = f(z) + d(x,z)^2 /
 (2 tau).  Since f >= 0 on the benchmark corpus, any minimiser lies in the
 ball of radius sqrt(2 tau f(x)) around x.  In one dimension every root,
 for the resolvent a root of phi'(z) = f'(z) + (z - x)/tau, comes from one
-float solve, ``_float_root``: a sign change at two adjacent floats, with a
-rule for kinks that places the cone's soft threshold on its centre.
+float solve, ``core.float_root``: a sign change at two adjacent floats, with
+a rule for kinks that places the cone's soft threshold on its centre; every
+value-only 1-D refinement is ``core.golden_section``.
 
 A functional that declares a convexity modulus lambda with mu = lambda +
 1/tau > 0 makes phi mu-strongly convex, so phi has one minimiser in the
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,8 +50,8 @@ from .certificates import (
     theta_distance_margin,
 )
 from .core import (
-    INF, PROX_POLICIES, Functional, as_point, check_int, check_policy, check_real,
-    dense_scan, norm, pick_branch, row_norms, write_csv,
+    EPS, INF, PROX_POLICIES, Functional, as_point, check_int, check_policy, check_real,
+    dense_scan, float_root, golden_section, norm, pick_branch, row_norms, write_csv,
 )
 from .sampling import ball_sample
 from .slope import descending_slope
@@ -59,7 +59,6 @@ from .theta import ParameterFunction
 
 
 BOX_SLACK = 1e-6  #: relative widening of the box that holds every minimiser
-EPS = float(np.finfo(float).eps)  #: double-precision machine epsilon
 OBJECTIVE_TIE_TOL = 1e-10  #: relative objective gap of tied minimisers
 POINT_TIE_TOL = 1e-9  #: relative distance under which two minimisers are one
 MULTISTART_TIE_TOL = math.sqrt(EPS)  #: the same distance for the n-d multistart
@@ -193,19 +192,6 @@ def _counted(f: Functional) -> Tuple[Functional, List[int]]:
     return dataclasses.replace(f, value=value, batch_value=batch_value), count
 
 
-def _ordered(z: float) -> int:
-    """The position of ``z`` in float order: adjacent floats differ by 1, and
-    -0.0 and 0.0 are both 0."""
-    (k,) = struct.unpack("<q", struct.pack("<d", z))
-    return k if k >= 0 else -(k + 2**63)
-
-
-def _unordered(k: int) -> float:
-    """The float at position ``k`` of float order (inverse of ``_ordered``)."""
-    (z,) = struct.unpack("<d", struct.pack("<q", abs(k)))
-    return z if k >= 0 else -z
-
-
 def _psi_1d(f: Functional, xval: float, tau: float):
     """psi = phi' = f' + (z - xval)/tau at a float z, None where f has no
     gradient.
@@ -229,93 +215,6 @@ def _psi_1d(f: Functional, xval: float, tau: float):
         return value
 
     return psi
-
-
-def _float_root(psi, lo: float, hi: float) -> Optional[float]:
-    """A sign change of ``psi`` from - to + at two adjacent floats of
-    [lo, hi], or None when the ends do not show psi(lo) < 0 < psi(hi).
-
-    The bracket closes on two adjacent floats with psi < 0 at the left and
-    >= 0 at the right; the end with the smaller |psi| is returned, which for
-    an increasing psi places its root to 1 ulp.  Steps are Illinois secant
-    steps; when a step leaves more than half the floats the bracket held two
-    steps before, a bisection in float order follows (at 0 when 0 lies
-    inside), so at most about 65 bisections are taken.  A probe where psi is
-    None is a kink; it is the root when psi <= 0 one float below it and
-    psi >= 0 one float above it (for psi = phi' the subdifferential of phi
-    there spans that interval), and otherwise it takes the sign of psi one
-    float below it.  None also when a kink has a kink for neighbour.
-    """
-    pa, pb = psi(lo), psi(hi)
-    if pa is None or pb is None or not pa < 0.0 < pb:
-        return None
-    a, b, ka, kb = lo, hi, _ordered(lo), _ordered(hi)
-    wa, wb = pa, pb  # secant weights; Illinois halves the one kept twice
-    kept = 0  # -1 after a probe replaced a, 1 after one replaced b
-    bisect = False
-    before = kb - ka  # the bracket's float count before the last step
-    while kb - ka > 1:
-        width = kb - ka
-        if bisect:
-            # 0 (a kink of the cone's centre) is halfway in float order only
-            # for ends of mirrored magnitude, so it is probed first
-            kz = 0 if ka < 0 < kb else (ka + kb) // 2
-            z = _unordered(kz)
-        else:
-            z = b - wb * (b - a) / (wb - wa)
-            if not a < z < b:  # on an end (or NaN): step one float inside
-                z = math.nextafter(a, INF) if z <= a else math.nextafter(b, -INF)
-            kz = _ordered(z)
-        pz = psi(z)
-        if pz is None:
-            pz, above = psi(math.nextafter(z, -INF)), psi(math.nextafter(z, INF))
-            if pz is None or above is None:
-                return None
-            if pz <= 0.0 <= above:
-                return z
-        if pz < 0.0:
-            a, pa, wa, ka = z, pz, pz, kz
-            if kept < 0:
-                wb *= 0.5
-            kept = -1
-        else:
-            b, pb, wb, kb = z, pz, pz, kz
-            if kept > 0:
-                wa *= 0.5
-            kept = 1
-        bisect = 2 * (kb - ka) > before
-        before = width
-    return a if -pa < pb else b
-
-
-def _golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float, float]:
-    """Golden-section search for a minimum of a unimodal ``fun`` on [lo, hi].
-
-    Shrinks the bracket until it is at most ``tol`` wide, or until a step
-    leaves it unchanged, which happens when ``tol`` is below the float
-    spacing at max(|lo|, |hi|).  Returns the better of the two interior
-    points and the final bracket.  A maximum is found by minimising
-    ``-fun``: negation is exact, so the bracket sequence is that of a search
-    on ``fun`` with both comparisons flipped.
-    """
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - ratio * (b - a)
-    c2 = a + ratio * (b - a)
-    f1, f2 = fun(c1), fun(c2)
-    while b - a > tol:
-        before = (a, b)
-        if f1 > f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + ratio * (b - a)
-            f2 = fun(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - ratio * (b - a)
-            f1 = fun(c1)
-        if (a, b) == before:
-            break
-    return (c1 if f1 <= f2 else c2), a, b
 
 
 def _refine_1d(
@@ -349,13 +248,13 @@ def _refine_1d(
         # the whole bracket first; a kink between grid[i] and an end can
         # hide the sign change there, so the halves are tried next
         for a, b in ((lo, hi), (lo, mid), (mid, hi)):
-            z = _float_root(psi, float(a), float(b))
+            z = float_root(psi, float(a), float(b))
             if z is not None:
                 break
         if z is not None and phi(z) > vals[i] + 4e-16 * (1.0 + abs(vals[i])):
             z = None
         if z is None:
-            z, _, _ = _golden_section(phi, lo, hi, 2.0 * EPS * max(1.0, abs(lo), abs(hi)))
+            z, _, _ = golden_section(phi, lo, hi, 2.0 * EPS * max(1.0, abs(lo), abs(hi)))
         refined.append((phi(z), z))
     return refined, f_at
 
@@ -407,11 +306,11 @@ def resolvent(
                 f_at[z] = f.value(np.array([z]))
             return f_at[z] + (z - xval) * (z - xval) / (2.0 * tau)
 
-        z = _float_root(_psi_1d(f, xval, tau), lo, hi)
+        z = float_root(_psi_1d(f, xval, tau), lo, hi)
         if z is None:
             # f >= 0 gives phi(x) < radius^2/(2 tau) <= phi(x +- radius), so
             # the strongly convex phi is unimodal on the box
-            z, _, _ = _golden_section(phi_1d, lo, hi, 2.0 * EPS * max(1.0, abs(lo), abs(hi)))
+            z, _, _ = golden_section(phi_1d, lo, hi, 2.0 * EPS * max(1.0, abs(lo), abs(hi)))
         objective = phi_1d(z)
         return ResolventResult([np.array([z])], objective, [f_at[z]], True, 1 + len(f_at))
 
@@ -760,7 +659,7 @@ def ioffe_distance_check(
                 if 0 <= jn < IOFFE_GRID and not below[jn]:
                     # f - delta, signed to be negative at the end below level
                     side = 1.0 if jn > i else -1.0
-                    root = _float_root(
+                    root = float_root(
                         lambda z: side * (f.value(np.array([z])) - delta),
                         float(min(g, grid[jn])), float(max(g, grid[jn])),
                     )
@@ -815,7 +714,7 @@ def recursive_bound_params(alpha: float, delta: float, f0: float) -> RecursiveBo
                 (r ** ((delta - 1.0) / delta) - 1.0) * f0 ** (1.0 - delta),
             )
 
-        _, a, b = _golden_section(lambda r: -branch(r), 1.0 + 1e-12, POLY_R_MAX, 1e-10)
+        _, a, b = golden_section(lambda r: -branch(r), 1.0 + 1e-12, POLY_R_MAX, 1e-10)
         return RecursiveBoundParams(alpha, delta, f0, poly_c=branch(0.5 * (a + b)))
     u_star = alpha ** (1.0 / (1.0 - delta))
     alpha_tilde = alpha * f0 ** (delta - 1.0)
@@ -872,7 +771,7 @@ def recursion_equality_sequence(params: RecursiveBoundParams, n: int) -> np.ndar
         elif d == 2.0:
             out[k + 1] = 2.0 * prev / (1.0 + math.sqrt(1.0 + 4.0 * a * prev))
         else:
-            root = _float_root(lambda u: u + a * u**d - prev, 0.0, prev)
+            root = float_root(lambda u: u + a * u**d - prev, 0.0, prev)
             # None only when alpha prev^delta is lost in prev + alpha prev^delta:
             # then prev itself solves the equation in floats
             out[k + 1] = prev if root is None else root

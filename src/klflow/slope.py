@@ -16,15 +16,15 @@ lower estimate only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .core import INF, Functional, norm
 from .sampling import SAMPLER_SEED, unit_directions
 
-#: default shrinking radius schedule for the sampled estimator
-DEFAULT_RADII: Tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5)
+#: the two finest radii of the shrinking schedule, the limsup surrogate
+FINEST_RADII = np.array([1e-4, 1e-5])
 
 #: directions sampled per radius in dimension >= 2 (1-D always uses +/-1)
 DEFAULT_DIRECTIONS = 64
@@ -38,35 +38,26 @@ class SlopeEstimate:
     method: str  # "analytic" | "gradient-norm" | "ball-sampling"
 
 
-def sampled_slope(
-    f: Functional,
-    x,
-    radii: Sequence[float] = DEFAULT_RADII,
-    fx: Optional[float] = None,
-) -> SlopeEstimate:
+def sampled_slope(f: Functional, x, fx: Optional[float] = None) -> SlopeEstimate:
     """Ball-sampling descending slope estimate, ignoring attached oracles.
 
-    Takes the max difference quotient over the two finest radii as the
-    limsup surrogate, so only those two radii are probed, along the
-    ``DEFAULT_DIRECTIONS`` directions of the library sampler, in one batched
-    value call.  Points whose neighbours all evaluate to +inf get slope 0
-    (isolated-in-domain convention).  ``fx`` is f(x) when the caller
-    already holds it.
+    Takes the max difference quotient over the ``FINEST_RADII`` as the
+    limsup surrogate, probed along the ``DEFAULT_DIRECTIONS`` directions of
+    the library sampler in one batched value call.  Points whose neighbours
+    all evaluate to +inf get slope 0 (isolated-in-domain convention).
+    ``fx`` is f(x) when the caller already holds it.
     """
     x = np.asarray(x, dtype=float)
     if fx is None:
         fx = f.value(x)
     if fx == INF:
         return SlopeEstimate(INF, 0.0, 0, "ball-sampling")
-    if len(radii) == 0:
-        raise ValueError("radius schedule must be non-empty")
-    finest = np.array(sorted(radii, reverse=True)[-2:], dtype=float)
     dirs = unit_directions(x.size, DEFAULT_DIRECTIONS, SAMPLER_SEED)
-    probes = (x + finest[:, None, None] * dirs).reshape(-1, x.size)
-    fy = f.values(probes).reshape(len(finest), len(dirs))
-    quotients = np.where(fy < fx, (fx - fy) / finest[:, None], 0.0)
+    probes = (x + FINEST_RADII[:, None, None] * dirs).reshape(-1, x.size)
+    fy = f.values(probes).reshape(len(FINEST_RADII), len(dirs))
+    quotients = np.where(fy < fx, (fx - fy) / FINEST_RADII[:, None], 0.0)
     value = float(quotients.max(initial=0.0))
-    return SlopeEstimate(value, float(finest[-1]), len(probes), "ball-sampling")
+    return SlopeEstimate(value, float(FINEST_RADII[-1]), len(probes), "ball-sampling")
 
 
 def descending_slope(f: Functional, x, fx: Optional[float] = None) -> SlopeEstimate:

@@ -12,7 +12,7 @@ decreasing-in-time bounds.  The built-in power family
     theta(u) = (c / gamma) * u**gamma,   c > 0, 0 < gamma <= 1,
 
 has closed forms for everything; custom parameter functions fall back to
-quadrature and bisection.  ``eta(0)`` may be -inf (gamma <= 1/2); that value
+quadrature and a float root solve.  ``eta(0)`` may be -inf (gamma <= 1/2); that value
 is representable and propagates correctly through comparisons.
 """
 from __future__ import annotations
@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import INF
+from .core import INF, float_root
 
 #: probe argument used to decide whether theta is onto [0, inf)
 OVERFLOW_PROBE = 1e300
 QUAD_TOL = 1e-12  #: absolute and relative tolerance of the eta quadrature
-INVERSE_TOL = 1e-12  #: |theta(u) - v| at which bisection accepts u = theta^{-1}(v)
 
 
 @dataclass(frozen=True)
@@ -132,41 +131,27 @@ def eta_eval(pf: ParameterFunction, u: float) -> float:
     return -integrate(u, 1.0)
 
 
-def theta_inverse_bisect(pf: ParameterFunction, v: float) -> float:
-    """Invert theta by monotone bisection with automatic bracket expansion.
+def theta_inverse(pf: ParameterFunction, v: float) -> float:
+    """Invert theta, preferring an attached closed form over a float root solve.
 
-    Stops when |theta(mid) - v| <= INVERSE_TOL.  Raises if v exceeds the
-    range of theta (bracket expansion hits the overflow probe bound).
+    Without a closed form the bracket [0, hi] grows by factors of 4 until
+    theta(hi) > v, and ``core.float_root`` places the root of theta(u) - v
+    in it to 1 ulp.  Raises if v exceeds the range of theta (the bracket
+    passes the overflow probe).
     """
+    if pf.theta_inverse is not None:
+        return float(pf.theta_inverse(float(v)))
     v = float(v)
     if v < 0.0:
         raise ValueError("theta^{-1} is defined on [0, inf)")
     if v == 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while pf.theta(hi) < v:
+    hi = 1.0
+    while pf.theta(hi) <= v:
         hi *= 4.0
         if hi > OVERFLOW_PROBE:
             raise ValueError("value exceeds the range of theta")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        fm = pf.theta(mid)
-        if abs(fm - v) <= INVERSE_TOL:
-            return mid
-        if fm < v:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
-def theta_inverse(pf: ParameterFunction, v: float) -> float:
-    """Invert theta, preferring an attached closed form over bisection."""
-    if pf.theta_inverse is not None:
-        return float(pf.theta_inverse(float(v)))
-    return theta_inverse_bisect(pf, v)
+    return float_root(lambda u: pf.theta(u) - v, 0.0, hi)
 
 
 def gamma_eval(pf: ParameterFunction, v: float) -> float:

@@ -37,7 +37,12 @@ def test_quadratic_matches_exponential_decay(quad_traj):
 
 
 @pytest.mark.parametrize(
-    "fid, x0", [("quadratic?lambda=1", [1.0]), ("quadratic?lambda=1&center=0,0", [1.0, 0.5])]
+    "fid, x0",
+    [
+        ("quadratic?lambda=1", [1.0]),
+        ("quadratic?lambda=1&center=0,0", [1.0, 0.5]),
+        ("power-potential?p=4", [1.0]),  # a curved arc, not an exponential one
+    ],
 )
 def test_finite_difference_gradient_follows_the_closed_form(fid, x0):
     # with no gradient oracle the integrator takes central differences of f

@@ -83,6 +83,13 @@ loaded["resolvent"] = scipy_modules()
 from klflow.prox import recursion_equality_sequence, recursive_bound_params
 recursion_equality_sequence(recursive_bound_params(1.0, 1.7, 1.0), 20)
 loaded["recursion"] = scipy_modules()
+
+# condition A-strict holds, so the run checks its limit by brute force
+with open(tmp + "/strict-flow.yaml", "w") as fh:
+    fh.write("id: strict-flow\nmode: flow\nfunctional: quadratic?lambda=1\nx0: 1.0\nr: 1.5\n")
+with redirect_stdout(io.StringIO()):
+    assert main(["run", tmp + "/strict-flow.yaml", "--output", tmp + "/strict-out"]) == 0
+loaded["strict-flow"] = scipy_modules()
 print(repr(loaded))
 """
 
@@ -99,9 +106,9 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
     # every 1-D resolvent, with a modulus or without, and the recursion find
-    # their roots in Python floats
+    # their roots in Python floats; brute force refines by golden section
     for step in ("import", "load", "list-corpus", "exit-2", "convex-resolvent",
-                 "resolvent", "recursion"):
+                 "resolvent", "recursion", "strict-flow"):
         assert loaded[step] == [], (step, loaded[step])
 
 

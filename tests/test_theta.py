@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from klflow import eta_eval, gamma_eval, make_power_theta, theta_inverse
-from klflow.theta import ParameterFunction, theta_inverse_bisect
+from klflow.theta import ParameterFunction
 
 GAMMAS = (0.25, 0.5, 0.75, 1.0)
 U_GRID = np.logspace(-6, 3, 40)
@@ -87,11 +87,18 @@ def test_custom_theta_against_hand_integral():
     for u in (0.1, 0.5, 1.0, 2.0, 6.0):
         oracle = ((1.0 + 2.0 * u) ** 3 - 27.0) / 6.0
         assert math.isclose(eta_eval(pf, u), oracle, rel_tol=1e-8)
-    # bisection inverse is available even without an explicit inverse
+    # the inverse is available even without an explicit one
     for u in (0.05, 1.0, 4.0):
         v = pf.theta(u)
-        assert math.isclose(theta_inverse_bisect(pf, v), u, rel_tol=1e-9)
         assert math.isclose(theta_inverse(pf, v), u, rel_tol=1e-9)
+
+
+def test_custom_theta_inverse_is_exact_to_one_ulp():
+    """theta(u) = sqrt(u) with no closed-form inverse: theta^{-1}(v) = v^2 to
+    1 ulp, also where v is far below any absolute tolerance."""
+    pf = ParameterFunction(theta=math.sqrt, theta_deriv=lambda u: 0.5 / math.sqrt(u))
+    for v in (1e-13, 1e-11, 2.0, 1e3):
+        assert abs(theta_inverse(pf, v) - v * v) <= math.ulp(v * v), v
 
 
 def test_make_power_theta_validates():
