@@ -10,7 +10,9 @@ set; its quantitative cousin asks alpha(x0, r) >= 4 f(x0) / r^2 where alpha
 is the infimum of |df|^2 / f.  The strict variants sharpen the respective
 inequality.  Verification is by deterministic low-discrepancy sampling plus
 compass-search refinement around the worst observed points, so a "holds"
-verdict is a sampled certificate, not a proof.
+verdict is a sampled certificate, not a proof.  When the slopes come from ball
+sampling the refinement ends at the sampled slope's finest radius, below which
+its keys differ only by sampling noise.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .core import INF, Functional, norm, row_norms
 from .sampling import SAMPLER_SEED, ball_sample
-from .slope import descending_slope
+from .slope import FINEST_RADII, descending_slope
 from .theta import ParameterFunction, make_power_theta
 
 #: absolute/relative guard band for the non-strict budget and threshold tests
@@ -36,7 +38,8 @@ EQUILIBRIUM_F_TOL = 1e-14
 
 DEFAULT_SAMPLE_COUNT = 2048
 
-#: the compass refinement stops once its step is at most this times max(1, |y|)
+#: the compass refinement stops once its step is at most this times max(1, |y|),
+#: or at most ``slope.FINEST_RADII[-1]`` when the scan's slopes are sampled
 REFINE_STEP_TOL = 1e-10
 
 
@@ -73,21 +76,23 @@ def _ratio(s: float, fy: float) -> float:
     return INF if s == INF else s * s / fy
 
 
-def _compass_search(scored, y0: np.ndarray, v0: float, h: float):
+def _compass_search(scored, y0: np.ndarray, v0: float, h: float, floor: float):
     """Compass search for a smaller key from the sampled point y0 (key v0).
 
     Each level probes y +- step * e_i along every axis; ``scored`` maps the
     probe batch to (point, key) pairs for its admissible rows.  The search
     moves to the best probe that strictly lowers the key, and otherwise
     shrinks the step by 4, until the step is at most
-    ``REFINE_STEP_TOL * max(1, |y|)``.  It terminates: at a fixed step the
-    moves visit distinct lattice points inside the ball, and each move
-    strictly lowers the key, so each level ends and the step shrinks.
-    Returns the final point and its key.
+    ``max(REFINE_STEP_TOL * max(1, |y|), floor)``.  ``floor`` is 0, or the
+    sampled slope's finest radius when the keys come from ball sampling:
+    below it two probes' keys differ only by sampling noise.  The search
+    terminates: at a fixed step the moves visit distinct lattice points inside
+    the ball, and each move strictly lowers the key, so each level ends and
+    the step shrinks.  Returns the final point and its key.
     """
     axes = np.vstack([np.eye(y0.size), -np.eye(y0.size)])
     y, v, step = y0, v0, h
-    while step > REFINE_STEP_TOL * max(1.0, norm(y)):
+    while step > max(REFINE_STEP_TOL * max(1.0, norm(y)), floor):
         probes = scored(y + step * axes)
         best = min(probes, key=lambda p: p[1], default=None)
         if best is not None and best[1] < v:
@@ -132,6 +137,7 @@ def _scan(
     sample = admissible(ball_sample(x0, r, sample_count, seed))
     out = {"n_admissible": len(sample)}
     h = 4.0 * r * (sample_count ** (-1.0 / x0.size))
+    floor = float(FINEST_RADII[-1]) if "ball-sampling" in methods else 0.0
 
     def sampling() -> dict:
         return {
@@ -149,7 +155,7 @@ def _scan(
         for val, y0 in entries[:3]:
             if val == INF:
                 continue
-            y_ref, v_ref = _compass_search(scored, y0, val, h)
+            y_ref, v_ref = _compass_search(scored, y0, val, h, floor)
             if v_ref < best_val:
                 best_val, best_pt = v_ref, y_ref
         return best_val, best_pt

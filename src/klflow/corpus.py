@@ -72,7 +72,7 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
     backend = EuclideanBackend(c.size)
 
     def value(x):
-        return 0.5 * lam * float(np.sum((x - c) ** 2))
+        return 0.5 * lam * float(np.add.reduce((x - c) ** 2, axis=None))
 
     def batch_value(xs):
         return 0.5 * lam * np.sum((xs - c) ** 2, axis=1)

@@ -244,3 +244,35 @@ def test_reports_say_how_the_verdict_was_computed():
     # a given alpha is not a sampled verdict
     assert exact["C"].details["sample_count"] == 0
     assert exact["C"].details["slope_method"] is None
+
+
+def test_oracle_free_refinement_stops_at_the_sampled_slope_radius():
+    # below slope.FINEST_RADII[-1] two sampled keys differ only by sampling
+    # noise; refining down to REFINE_STEP_TOL took 46,477 value calls here
+    f = resolve_entry("quadratic?lambda=1&center=0,0").functional
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return f.value(x)
+
+    counted = Functional(label="counted quadratic", value=value, backend=f.backend)
+    rep = check_condition_C(counted, [1.0, 0.5], 0.5, sample_count=64)
+    assert len(calls) <= 25_000
+    assert not rep.holds
+    assert rep.alpha_estimate == pytest.approx(2.0, rel=0.02)
+
+
+def test_scans_with_exact_slopes_refine_to_the_step_tolerance():
+    # pinned bit for bit: the sampled-slope floor leaves oracle scans alone
+    f = resolve_entry("quadratic?lambda=1&center=0,0").functional
+    reps = check_conditions(f, make_power_theta(1.0 / math.sqrt(2.0), 0.5), [1.0, 0.5], 0.5)
+    a_witness = ([0.7363981941614348, 0.5959111629999189], -3.3306690738754696e-16)
+    c_witness = ([0.7404563105340728, 0.7175360579025096], -8.0)
+    for name, (point, gap) in [("A", a_witness), ("A-strict", a_witness),
+                               ("C", c_witness), ("C-strict", c_witness)]:
+        rep = reps[name]
+        assert not rep.holds and rep.details["slope_method"] == "analytic"
+        assert rep.alpha_estimate == 1.9999999999999991, name
+        assert rep.worst_witness[0].tolist() == point and rep.worst_witness[1] == gap, name
+    assert reps["A"].details["min_product"] == 0.9999999999999997

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from klflow import brute_force_minimiser, list_corpus, resolve_entry, resolvent
 from klflow.core import EuclideanBackend, Functional, dense_scan, norm
+from klflow.corpus import make_quadratic
 
 # several parameter sets per corpus factory, for the batched-oracle checks
 BATCH_IDS = [
@@ -255,6 +257,23 @@ def test_batched_values_match_scalar_in_several_dimensions(entry_id, center):
     rng = np.random.default_rng(7)
     pts = np.vstack([c, c + rng.normal(scale=2.0, size=(4000, c.size))])
     assert _bits(f.values(pts)) == _bits([f.value(p) for p in pts])
+
+
+_coords = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(_coords, min_size=n, max_size=n), st.lists(_coords, min_size=n, max_size=n)
+    )),
+    st.floats(1e-3, 1e3),
+)
+def test_quadratic_value_is_the_np_sum_form_bit_for_bit(point_center, lam):
+    # the scalar oracle calls np.add.reduce over all axes, as np.sum does
+    x, c = (np.array(v) for v in point_center)
+    f = make_quadratic(lam, c).functional
+    ref = 0.5 * lam * float(np.sum((x - c) ** 2))
+    assert _bits([f.value(x)]) == _bits([ref]) == _bits(f.batch_value(x[None, :]))
 
 
 def test_values_without_batch_oracle_loops_over_value():

@@ -84,6 +84,12 @@ from klflow.prox import recursion_equality_sequence, recursive_bound_params
 recursion_equality_sequence(recursive_bound_params(1.0, 1.7, 1.0), 20)
 loaded["recursion"] = scipy_modules()
 
+with open(tmp + "/q-cond.yaml", "w") as fh:
+    fh.write("id: q-cond\nmode: condition\nfunctional: quadratic?lambda=1\nx0: 1.0\nradii: [0.5, 1.5]\n")
+with redirect_stdout(io.StringIO()):
+    assert main(["run", tmp + "/q-cond.yaml", "--output", tmp + "/q-cond-out"]) == 0
+loaded["condition"] = scipy_modules()
+
 # condition A-strict holds, so the run checks its limit by brute force
 with open(tmp + "/strict-flow.yaml", "w") as fh:
     fh.write("id: strict-flow\nmode: flow\nfunctional: quadratic?lambda=1\nx0: 1.0\nr: 1.5\n")
@@ -108,7 +114,7 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     # every 1-D resolvent, with a modulus or without, and the recursion find
     # their roots in Python floats; brute force refines by golden section
     for step in ("import", "load", "list-corpus", "exit-2", "convex-resolvent",
-                 "resolvent", "recursion", "strict-flow"):
+                 "resolvent", "recursion", "condition", "strict-flow"):
         assert loaded[step] == [], (step, loaded[step])
 
 
