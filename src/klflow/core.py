@@ -5,7 +5,8 @@ Points are plain 1-D float arrays.  Objectives take values in [0, +inf];
 than every finite value, which is all the extended arithmetic we need.  The
 module also holds what every layer shares: the branch policies, the checks
 of numeric settings, the 1-D scalar primitives (the dense scan, the float
-root solve and golden-section search), and the JSON and CSV output formats.
+root solve and golden-section search), the n-D gradient descent with its
+central-difference gradient, and the JSON and CSV output formats.
 """
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ EPS = float(np.finfo(float).eps)  #: double-precision machine epsilon
 FLOW_POLICIES = ("positive-branch", "negative-branch", "lexicographic")
 PROX_POLICIES = ("smallest-distance", *FLOW_POLICIES)
 DISTANCE_TIE_TOL = 1e-12  #: relative gap under which two distances tie in pick_branch
+FD_PROBE = 1e-6  #: central-difference step of the gradient when f has no gradient oracle
+ARMIJO = 1e-4  #: share of the first-order decrease that a descent step must reach
 
 
 def check_policy(policy: str, valid: Tuple[str, ...]) -> None:
@@ -339,3 +342,43 @@ def golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float,
         if (a, b) == before:
             break
     return (c1 if f1 <= f2 else c2), a, b
+
+
+def fd_gradient(f: Functional, x: np.ndarray) -> np.ndarray:
+    """Central differences of ``f.value`` at x, one coordinate at a time."""
+    g = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = FD_PROBE
+        g[i] = (f.value(x + e) - f.value(x - e)) / (2.0 * FD_PROBE)
+    return g
+
+
+def descend(fun, grad, z: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
+    """A local minimum of ``fun`` by gradient steps from z; returns it and its value.
+
+    A step goes to z - t grad(z), with t the Barzilai-Borwein length s.s / s.y
+    of the last step s and gradient change y (the given ``t`` first and where
+    s.y <= 0), at most twice the last step's t, and halved until fun falls by
+    ARMIJO t |grad|^2.  The descent stops where no step longer than
+    EPS (1 + |z|) falls so (where rounding hides the decrease, or on a kink,
+    which the cap on t's growth nears in a few halvings per step), or where
+    the gradient is not finite.
+    """
+    z = np.array(z, dtype=float)
+    t0, fz, g = t, fun(z), grad(z)
+    while True:
+        gg = float(g @ g)
+        while EPS * (1.0 + norm(z)) < t * math.sqrt(gg) < INF:
+            w = z - t * g
+            fw = fun(w)
+            if fz - fw >= ARMIJO * t * gg:
+                break
+            t *= 0.5
+        else:
+            return z, fz
+        gw = grad(w)
+        s, y = w - z, gw - g
+        sy = float(s @ y)
+        t = min(float(s @ s) / sy if sy > 0.0 else t0, 2.0 * t)
+        z, fz, g = w, fw, gw

@@ -500,10 +500,15 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
             return max(d - tau * scale, 0.0)
         if p == 2.0:
             return d / (1.0 + 2.0 * tau * scale)
-        from scipy.optimize import brentq
-
+        # g increases from g(0) = -d: bisect [0, d] at midpoints until the
+        # ends are adjacent floats, by its own loop so that the closed form
+        # stays independent of core.float_root, which the resolvent uses
         g = lambda rho: rho + tau * scale * p * rho ** (p - 1.0) - d
-        return brentq(g, 0.0, d, xtol=1e-300, rtol=8.9e-16)
+        lo, hi, mid = 0.0, d, 0.5 * d
+        while lo < mid < hi:
+            lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
+            mid = lo + 0.5 * (hi - lo)
+        return lo if -g(lo) < g(hi) else hi
 
     def resolvent(x, tau):
         x = as_point(x)

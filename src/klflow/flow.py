@@ -30,7 +30,7 @@ from .certificates import (
 from .conditions import ConditionReport
 from .core import (
     FLOW_POLICIES, INF, Functional, as_point, check_int, check_policy, check_real,
-    norm, pick_branch, row_norms, write_csv,
+    fd_gradient, norm, pick_branch, row_norms, write_csv,
 )
 from .sampling import unit_directions
 from .slope import descending_slope
@@ -48,7 +48,6 @@ DISSIPATION_REL = 0.25  #: relative tolerance on the predicted decrease
 EVENT_DT_FLOOR = 1e-9  #: event-walk step at which an obstruction is pinned
 KINK_KICK = 1e-9  #: displacement used to leave a descent kink, times max(1, |x|)
 PROBE_DELTA = 1e-7  #: one-sided probe length at a kink, times max(1, |x|)
-FD_PROBE = 1e-6  #: central-difference step of the gradient when f has no gradient oracle
 PAIR_COUNT = 40  #: samples whose pairs the theta-distance certificate checks
 
 
@@ -119,16 +118,7 @@ class EdeReport:
 def _gradient_fn(f: Functional) -> Callable:
     if f.smooth_gradient is not None:
         return f.gradient
-
-    def fd_gradient(x: np.ndarray) -> np.ndarray:
-        g = np.empty_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = FD_PROBE
-            g[i] = (f.value(x + e) - f.value(x - e)) / (2.0 * FD_PROBE)
-        return g
-
-    return fd_gradient
+    return lambda x: fd_gradient(f, x)
 
 
 def _probe_direction(

@@ -21,12 +21,14 @@ across one of its halves), and otherwise by golden section on phi to
 about 1 ulp.  That value path pins kinks and jumps, but phi is flat to
 rounding over about sqrt(eps) |z| around a smooth minimum, so no
 value-only bracket places one closer than about 1e-8 relative.  In
-several dimensions a strongly convex phi takes one local solve from x,
-certified when |grad phi(z)| / mu, which bounds the distance from z to
-the minimiser, is at most POINT_TIE_TOL (1 + |z|) (never at a kink, which
-has no gradient).  Without a modulus an uncertified multistart counts
-minimisers within MULTISTART_TIE_TOL (1 + |z|) as one, since a value-only
-local search stops anywhere in the flat region around a smooth minimum.
+several dimensions every local solve is ``core.descend`` (Barzilai-Borwein
+gradient steps) on grad f, or on its central differences where f has none.
+A strongly convex phi takes one descent from x, certified when
+|grad phi(z)| / mu, which bounds the distance from z to the minimiser, is
+at most POINT_TIE_TOL (1 + |z|) (never at a kink, which has no gradient).
+Without a modulus an uncertified multistart counts minimisers within
+MULTISTART_TIE_TOL (1 + |z|) as one, since central differences, off by
+about eps |f| / FD_PROBE, stop a descent short of a smooth minimum.
 
 The module also evaluates the De Giorgi variational-interpolation identity
 for a single step, per-step monotonicity/stationarity inequalities, the
@@ -51,7 +53,8 @@ from .certificates import (
 )
 from .core import (
     EPS, INF, PROX_POLICIES, Functional, as_point, check_int, check_policy, check_real,
-    dense_scan, float_root, golden_section, norm, pick_branch, row_norms, write_csv,
+    dense_scan, descend, fd_gradient, float_root, golden_section, norm, pick_branch, row_norms,
+    write_csv,
 )
 from .sampling import ball_sample
 from .slope import descending_slope
@@ -159,22 +162,15 @@ def _phi_batch(f: Functional, xval: float, tau: float):
     return phi
 
 
-def _phi_gradient(f: Functional, x: np.ndarray, tau: float, phi):
-    """grad phi(z) = grad f(z) + (z - x)/tau.
+def _phi_gradient(f: Functional, x: np.ndarray, tau: float):
+    """grad phi(z) = grad f(z) + (z - x)/tau, with ``core.fd_gradient`` for
+    grad f where ``f.gradient`` is None (no oracle, or a kink)."""
 
-    Where ``f.gradient`` is None (a kink), a forward difference of ``phi``
-    stands in, as scipy would use without a gradient.
-    """
-
-    def jac(z: np.ndarray) -> np.ndarray:
+    def grad(z: np.ndarray) -> np.ndarray:
         g = f.gradient(z)
-        if g is None:
-            from scipy.optimize import approx_fprime
+        return (fd_gradient(f, z) if g is None else g) + (z - x) / tau
 
-            return approx_fprime(z, phi)
-        return g + (z - x) / tau
-
-    return jac
+    return grad
 
 
 def _counted(f: Functional) -> Tuple[Functional, List[int]]:
@@ -333,31 +329,21 @@ def resolvent(
             points, float(best), [f_at[float(p[0])] for p in points], True, 1 + n_evals[0]
         )
 
-    from scipy.optimize import minimize
-
-    jac = _phi_gradient(f, x, tau, phi)
+    grad = _phi_gradient(f, x, tau)
     if mu > 0:
-        # one start; the stop rule asks for a max-norm gradient that makes the
-        # distance bound at most POINT_TIE_TOL, which certifies z if grad f(z) exists
-        gtol = POINT_TIE_TOL * mu / math.sqrt(x.size)
-        res = minimize(
-            phi, x, jac=jac, method="L-BFGS-B", options={"gtol": gtol, "ftol": 0.0}
-        )
-        z = np.asarray(res.x, dtype=float)
+        # one descent from x; it stops where rounding hides phi's decrease,
+        # and |grad phi(z)| / mu certifies z if grad f(z) exists
+        z, objective = descend(phi, grad, x, 1.0 / mu)
         g = f.gradient(z)
         bound = INF if g is None else norm(g + (z - x) / tau) / mu
         certified = bound <= POINT_TIE_TOL * (1.0 + norm(z))
-        return ResolventResult([z], float(res.fun), [f.value(z)], certified, 1 + n_evals[0])
+        return ResolventResult([z], objective, [f.value(z)], certified, 1 + n_evals[0])
 
-    # no modulus: multistart local minimisation inside the box
-    starts = [x.copy()] + list(ball_sample(x, radius, N_STARTS))
+    # no modulus: a descent from x and from each of N_STARTS points of the box
     found: List[Tuple[float, np.ndarray]] = []
-    for s in starts:
-        if f.gradient(s) is not None:
-            res = minimize(phi, s, jac=jac, method="L-BFGS-B")
-        else:
-            res = minimize(phi, s, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})
-        found.append((float(res.fun), np.asarray(res.x, dtype=float)))
+    for s in [x] + list(ball_sample(x, radius, N_STARTS)):
+        z, val = descend(phi, grad, s, tau)
+        found.append((val, z))
     found.sort(key=lambda p: p[0])
     best, points = _tied_minimisers(found, MULTISTART_TIE_TOL)
     return ResolventResult(

@@ -3,13 +3,14 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from klflow import brute_force_minimiser, list_corpus, resolve_entry, resolvent
 from klflow.core import EuclideanBackend, Functional, dense_scan, norm
-from klflow.corpus import make_quadratic
+from klflow.corpus import make_power_potential, make_quadratic
 
 # several parameter sets per corpus factory, for the batched-oracle checks
 BATCH_IDS = [
@@ -360,3 +361,26 @@ def test_power_potential_value_keeps_its_magnitude_where_squares_underflow(p):
     pts2 = np.array([[z, -z] for z in zs])
     assert _bits(f2.values(pts2)) == _bits([f2.value(q) for q in pts2])
     assert f2.value(np.array([3e-200, -4e-200])) == pytest.approx(5e-200**p, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [4.0, 3.0, 4.0 / 3.0, 1.5])
+def test_power_potential_closed_form_is_within_8_ulps(p):
+    # the radial root rho of rho + tau p rho^(p-1) = d against a 60-digit
+    # bisection, started 16 ulps either side of the closed form's float
+    resolve = make_power_potential(p).analytic_resolvent
+    rng = np.random.default_rng(0)
+    ds, taus = 10.0 ** rng.uniform(-12.0, 1.0, 500), 10.0 ** rng.uniform(-3.0, 0.5, 500)
+    with mpmath.workdps(60):
+        for d, tau in zip(ds, taus):
+            ((z,),) = resolve(np.array([d]), tau)
+            g = lambda r: r + mpmath.mpf(tau) * p * r ** (mpmath.mpf(p) - 1) - mpmath.mpf(d)
+            ulp = math.ulp(z)
+            lo, hi = max(mpmath.mpf(z) - 16 * ulp, 0), mpmath.mpf(z) + 16 * ulp
+            assert g(lo) < 0 < g(hi), (d, tau)
+            for _ in range(20):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+            assert abs(z - lo) <= 8 * ulp, (d, tau, float(abs(z - lo) / ulp))
+    # the bisection ends where its ends are adjacent, also among the subnormals
+    ((z,),) = resolve(np.array([1e-300]), 1.0)
+    assert 0.0 <= z <= 1e-300

@@ -79,6 +79,14 @@ resolvent(resolve_entry("quadratic?lambda=1").functional, 0.7, 0.002, ProxContro
 loaded["convex-resolvent"] = scipy_modules()
 resolvent(resolve_entry("double-well").functional, 0.5, 0.1)
 loaded["resolvent"] = scipy_modules()
+resolvent(resolve_entry("quadratic?lambda=1&center=0,0").functional, [1.0, 0.5], 0.5)
+loaded["convex-resolvent-2d"] = scipy_modules()
+resolvent(resolve_entry("power-potential?p=1&center=0,0").functional, [0.1, 0.05], 0.5)
+loaded["kink-resolvent-2d"] = scipy_modules()
+
+from klflow.corpus import make_power_potential
+make_power_potential(4).analytic_resolvent([1.0], 0.1)
+loaded["power-closed-form"] = scipy_modules()
 
 from klflow.prox import recursion_equality_sequence, recursive_bound_params
 recursion_equality_sequence(recursive_bound_params(1.0, 1.7, 1.0), 20)
@@ -96,6 +104,11 @@ with open(tmp + "/strict-flow.yaml", "w") as fh:
 with redirect_stdout(io.StringIO()):
     assert main(["run", tmp + "/strict-flow.yaml", "--output", tmp + "/strict-out"]) == 0
 loaded["strict-flow"] = scipy_modules()
+
+from klflow.core import Functional
+q = resolve_entry("quadratic?lambda=1&center=0,0").functional
+resolvent(Functional(label="value-only", value=q.value, backend=q.backend), [1.0, 0.5], 0.5)
+loaded["value-only-multistart-2d"] = scipy_modules()
 print(repr(loaded))
 """
 
@@ -112,10 +125,17 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
     # every 1-D resolvent, with a modulus or without, and the recursion find
-    # their roots in Python floats; brute force refines by golden section
+    # their roots in Python floats; brute force refines by golden section; an
+    # n-D resolvent descends in numpy, and the power closed form bisects
     for step in ("import", "load", "list-corpus", "exit-2", "convex-resolvent",
-                 "resolvent", "recursion", "condition", "strict-flow"):
+                 "resolvent", "convex-resolvent-2d", "kink-resolvent-2d",
+                 "power-closed-form", "recursion", "condition", "strict-flow"):
         assert loaded[step] == [], (step, loaded[step])
+    # without a modulus the n-D starts come from ball_sample, whose ndtri
+    # loads scipy.special and scipy's private modules, and no other subpackage
+    public = {m.split(".")[1] for m in loaded["value-only-multistart-2d"] if "." in m}
+    assert "special" in public
+    assert {m for m in public if not m.startswith("_")} <= {"special", "version"}, public
 
 
 def test_public_names_are_the_pinned_list():
