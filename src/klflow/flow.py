@@ -425,7 +425,7 @@ def certify_rates_continuous(
     certs: List[RateCertificate] = []
 
     # pairwise theta-distance: d(y_s, y_t) <= theta(f(y_s)) - theta(f(y_t))
-    idx = np.unique(np.linspace(0, ts.size - 1, PAIR_COUNT).astype(int))
+    idx = np.linspace(0, ts.size - 1, min(PAIR_COUNT, ts.size)).astype(int)  # distinct, sorted
     cert_pairs = certificate(
         "theta-distance",
         ts[idx],

@@ -1,5 +1,5 @@
 """The public contract, and what importing and loading klflow costs: no scipy
-until a solver needs it.
+on any run path, and no numpy.ma on the flow path.
 
 The pytest process has imported scipy already, so each import check runs in a fresh
 interpreter.
@@ -104,6 +104,20 @@ with open(tmp + "/strict-flow.yaml", "w") as fh:
 with redirect_stdout(io.StringIO()):
     assert main(["run", tmp + "/strict-flow.yaml", "--output", tmp + "/strict-out"]) == 0
 loaded["strict-flow"] = scipy_modules()
+loaded["strict-flow-numpy.ma"] = "numpy.ma" in sys.modules
+
+# in 2-D the condition scan and the flow's probes sample the ball
+with open(tmp + "/q2d-cond.yaml", "w") as fh:
+    fh.write("id: q2d-cond\nmode: condition\nfunctional: quadratic?lambda=1&center=0,0\nx0: [1.0, 0.5]\n")
+with redirect_stdout(io.StringIO()):
+    assert main(["run", tmp + "/q2d-cond.yaml", "--output", tmp + "/q2d-cond-out"]) == 0
+loaded["condition-2d"] = scipy_modules()
+
+with open(tmp + "/q2d-flow.yaml", "w") as fh:
+    fh.write("id: q2d-flow\nmode: flow\nfunctional: quadratic?lambda=1&center=0,0\nx0: [1.0, 0.5]\n")
+with redirect_stdout(io.StringIO()):
+    assert main(["run", tmp + "/q2d-flow.yaml", "--output", tmp + "/q2d-flow-out"]) == 0
+loaded["flow-2d"] = scipy_modules()
 
 from klflow.core import Functional
 q = resolve_entry("quadratic?lambda=1&center=0,0").functional
@@ -126,16 +140,16 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     loaded = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
     # every 1-D resolvent, with a modulus or without, and the recursion find
     # their roots in Python floats; brute force refines by golden section; an
-    # n-D resolvent descends in numpy, and the power closed form bisects
+    # n-D resolvent descends in numpy, and the power closed form bisects; the
+    # n-D samples (condition scans, flow probes, multistart starts) take their
+    # normal quantile from sampling._ndtri
     for step in ("import", "load", "list-corpus", "exit-2", "convex-resolvent",
                  "resolvent", "convex-resolvent-2d", "kink-resolvent-2d",
-                 "power-closed-form", "recursion", "condition", "strict-flow"):
+                 "power-closed-form", "recursion", "condition", "strict-flow",
+                 "condition-2d", "flow-2d", "value-only-multistart-2d"):
         assert loaded[step] == [], (step, loaded[step])
-    # without a modulus the n-D starts come from ball_sample, whose ndtri
-    # loads scipy.special and scipy's private modules, and no other subpackage
-    public = {m.split(".")[1] for m in loaded["value-only-multistart-2d"] if "." in m}
-    assert "special" in public
-    assert {m for m in public if not m.startswith("_")} <= {"special", "version"}, public
+    # the flow's pair certificate picks distinct indices without np.unique
+    assert loaded["strict-flow-numpy.ma"] is False
 
 
 def test_public_names_are_the_pinned_list():
