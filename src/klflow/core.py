@@ -5,8 +5,8 @@ Points are plain 1-D float arrays.  Objectives take values in [0, +inf];
 than every finite value, which is all the extended arithmetic we need.  The
 module also holds what every layer shares: the branch policies, the checks
 of numeric settings, the 1-D scalar primitives (the dense scan, the float
-root solve and golden-section search), the n-D gradient descent with its
-central-difference gradient, and the JSON and CSV output formats.
+root solve, golden-section search, Gauss-Legendre), the n-D gradient descent
+with its central-difference gradient, and the JSON and CSV output formats.
 """
 from __future__ import annotations
 
@@ -26,6 +26,11 @@ PROX_POLICIES = ("smallest-distance", *FLOW_POLICIES)
 DISTANCE_TIE_TOL = 1e-12  #: relative gap under which two distances tie in pick_branch
 FD_PROBE = 1e-6  #: central-difference step of the gradient when f has no gradient oracle
 ARMIJO = 1e-4  #: share of the first-order decrease that a descent step must reach
+#: 8-point Gauss-Legendre nodes and weights on [-1, 1], bit for bit numpy's leggauss(8)
+GL_NODES = (-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+            0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
+GL_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+              0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
 
 
 def check_policy(policy: str, valid: Tuple[str, ...]) -> None:
@@ -342,6 +347,15 @@ def golden_section(fun, lo: float, hi: float, tol: float) -> Tuple[float, float,
         if (a, b) == before:
             break
     return (c1 if f1 <= f2 else c2), a, b
+
+
+def gauss_legendre(fun, lo: float, hi: float) -> float:
+    """8-point Gauss-Legendre estimate of the integral of ``fun`` (of a float) over [lo, hi]."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    total = 0.0
+    for t, w in zip(GL_NODES, GL_WEIGHTS):
+        total += w * fun(mid + half * t)
+    return total * half
 
 
 def fd_gradient(f: Functional, x: np.ndarray) -> np.ndarray:

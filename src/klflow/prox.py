@@ -41,6 +41,7 @@ sequence takes the same float solve.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -53,8 +54,8 @@ from .certificates import (
 )
 from .core import (
     EPS, INF, PROX_POLICIES, Functional, as_point, check_int, check_policy, check_real,
-    dense_scan, descend, fd_gradient, float_root, golden_section, norm, pick_branch, row_norms,
-    write_csv,
+    dense_scan, descend, fd_gradient, float_root, gauss_legendre, golden_section, norm,
+    pick_branch, row_norms, write_csv,
 )
 from .sampling import ball_sample
 from .slope import descending_slope
@@ -162,6 +163,18 @@ def _phi_batch(f: Functional, xval: float, tau: float):
     return phi
 
 
+def _phi_1d(f: Functional, xval: float, tau: float):
+    """phi at a float z, and f at each z it saw: no point is evaluated twice."""
+    f_at: Dict[float, float] = {}
+
+    def phi(z: float) -> float:
+        if z not in f_at:
+            f_at[z] = f.value(np.array([z]))
+        return f_at[z] + (z - xval) * (z - xval) / (2.0 * tau)
+
+    return phi, f_at
+
+
 def _phi_gradient(f: Functional, x: np.ndarray, tau: float):
     """grad phi(z) = grad f(z) + (z - x)/tau, with ``core.fd_gradient`` for
     grad f where ``f.gradient`` is None (no oracle, or a kink)."""
@@ -222,21 +235,9 @@ def _refine_1d(
     Returns (phi(z), z) per candidate and f at each refined z; no point is
     evaluated twice.
     """
-    f_at: Dict[float, float] = {}
-
-    def phi(z: float) -> float:
-        if z not in f_at:
-            f_at[z] = f.value(np.array([z]))
-        return f_at[z] + (z - xval) * (z - xval) / (2.0 * tau)
-
+    phi, f_at = _phi_1d(f, xval, tau)
     # the tried brackets share their ends, so each z is probed once
-    psi_at: Dict[float, Optional[float]] = {}
-    psi_1d = _psi_1d(f, xval, tau)
-
-    def psi(z: float) -> Optional[float]:
-        if z not in psi_at:
-            psi_at[z] = psi_1d(z)
-        return psi_at[z]
+    psi = functools.lru_cache(maxsize=None)(_psi_1d(f, xval, tau))
 
     refined = []
     for i in cand:
@@ -295,13 +296,7 @@ def resolvent(
     if x.size == 1 and mu > 0:
         xval = float(x[0])
         lo, hi = xval - radius, xval + radius
-        f_at: Dict[float, float] = {}
-
-        def phi_1d(z: float) -> float:
-            if z not in f_at:
-                f_at[z] = f.value(np.array([z]))
-            return f_at[z] + (z - xval) * (z - xval) / (2.0 * tau)
-
+        phi_1d, f_at = _phi_1d(f, xval, tau)
         z = float_root(_psi_1d(f, xval, tau), lo, hi)
         if z is None:
             # f >= 0 gives phi(x) < radius^2/(2 tau) <= phi(x +- radius), so
@@ -521,8 +516,8 @@ def de_giorgi_residual(
         f(z_tau) + d(x, z_tau)^2/(2 tau)
             + int_0^tau d(x, z_s)^2 / (2 s^2) ds  =  f(x).
 
-    The integral is split into dyadic panels [tau 2^-(j+1), tau 2^-j] with
-    8-point Gauss-Legendre on each; the remaining head below the innermost
+    The integral is split into dyadic panels [tau 2^-(j+1), tau 2^-j], each
+    integrated by ``core.gauss_legendre``; the remaining head below the innermost
     panel has the same length and an integrand converging to a constant
     (half the squared slope at x), so it is estimated by repeating the
     innermost panel's value.
@@ -541,22 +536,15 @@ def de_giorgi_residual(
         n_evals += res.n_evals
         return pick_branch(res.points, c.policy, x)
 
+    def integrand(s: float) -> float:
+        ds = norm(z_at(s) - x)
+        return ds * ds / (2.0 * s * s)
+
     z_tau = z_at(tau)
     d_tau = norm(z_tau - x)
-    nodes, weights = np.polynomial.legendre.leggauss(8)
     integral = 0.0
-    panel_val = 0.0
     for j in range(DE_GIORGI_PANELS):
-        lo = tau * 2.0 ** (-(j + 1))
-        hi = tau * 2.0 ** (-j)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        panel_val = 0.0
-        for t, w in zip(nodes, weights):
-            s = mid + half * t
-            ds = norm(z_at(s) - x)
-            panel_val += w * ds * ds / (2.0 * s * s)
-        panel_val *= half
+        panel_val = gauss_legendre(integrand, tau * 2.0 ** (-(j + 1)), tau * 2.0 ** (-j))
         integral += panel_val
     integral += panel_val  # head estimate, see docstring
     value_term = f.value(z_tau)

@@ -12,8 +12,8 @@ decreasing-in-time bounds.  The built-in power family
     theta(u) = (c / gamma) * u**gamma,   c > 0, 0 < gamma <= 1,
 
 has closed forms for everything; custom parameter functions fall back to
-quadrature and a float root solve.  ``eta(0)`` may be -inf (gamma <= 1/2); that value
-is representable and propagates correctly through comparisons.
+Gauss-Legendre panels and a float root solve.  ``eta(0)`` may be -inf (gamma
+<= 1/2); that value is representable and propagates correctly through comparisons.
 """
 from __future__ import annotations
 
@@ -21,11 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import INF, float_root
+from .core import EPS, INF, float_root, gauss_legendre
 
 #: probe argument used to decide whether theta is onto [0, inf)
 OVERFLOW_PROBE = 1e300
-QUAD_TOL = 1e-12  #: absolute and relative tolerance of the eta quadrature
+ETA_PANEL_RATIO = math.sqrt(2.0)  #: ratio of the ends of a custom theta's eta panel
+ETA_ZERO_PANELS = 128  #: panels summed below 1 for a custom theta's eta(0)
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,14 @@ def eta_eval(pf: ParameterFunction, u: float) -> float:
         gamma != 1/2:  c^2/(2*gamma - 1) * (u**(2*gamma - 1) - 1)
         gamma == 1/2:  c^2 * log(u)
 
-    ``u == 0`` returns the limit (finite for gamma > 1/2, else -inf).  Custom
-    parameter functions are integrated numerically; a divergent integral near
-    zero is reported as -inf.
+    ``u == 0`` returns the limit (finite for gamma > 1/2, else -inf).  A custom
+    theta sums ``core.gauss_legendre`` over panels from max(u, 1) down to min(u, 1),
+    each ETA_PANEL_RATIO times narrower, the last one partial.  Its eta(0) sums
+    ETA_ZERO_PANELS panels below 1 plus the geometric tail their last ratio r
+    predicts (exact for a power theta'^2), or is -inf if r >= 1 - sqrt(EPS).
     """
     u = float(u)
-    if u < 0.0:
+    if not 0.0 <= u < INF:
         raise ValueError("eta is defined on [0, inf)")
     if pf.family == "power":
         c = pf.c
@@ -110,25 +113,20 @@ def eta_eval(pf: ParameterFunction, u: float) -> float:
         if u == 0.0:
             return -c * c / p if p > 0.0 else -INF
         return c * c / p * (u**p - 1.0)
-    # custom parameter function: quadrature from 1 to u
-    from scipy.integrate import quad
-
     integrand = lambda s: pf.theta_deriv(s) ** 2
-
-    def integrate(lo: float, hi: float) -> float:
-        val, _ = quad(integrand, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
-        return val
-
-    if u == 0.0:
-        # probe successively smaller lower limits; divergence shows up as
-        # unbounded growth between probes
-        probes = [integrate(eps, 1.0) for eps in (1e-8, 1e-10, 1e-12)]
-        if probes[-1] - probes[-2] > 100.0 * (abs(probes[-2]) * 1e-9 + QUAD_TOL):
-            return -INF
-        return -probes[-1]
-    if u >= 1.0:
-        return integrate(1.0, u)
-    return -integrate(u, 1.0)
+    hi, end = max(u, 1.0), min(u, 1.0)
+    panels = []
+    while hi > end and (u > 0.0 or len(panels) < ETA_ZERO_PANELS):
+        lo = max(hi / ETA_PANEL_RATIO, end)
+        panels.append(gauss_legendre(integrand, lo, hi))
+        hi = lo
+    total = math.fsum(panels)
+    if u > 0.0:
+        return total if u >= 1.0 else -total
+    r = panels[-1] / panels[-2] if panels[-2] > 0.0 else 0.0
+    if not r < 1.0 - math.sqrt(EPS):  # NaN too, where theta'^2 overflows
+        return -INF
+    return -(total + panels[-1] * r / (1.0 - r))
 
 
 def theta_inverse(pf: ParameterFunction, v: float) -> float:

@@ -1,8 +1,9 @@
 """The public contract, and what importing and loading klflow costs: no scipy
-on any run path, and no numpy.ma on the flow path.
+on any run path, no numpy.ma on the flow path and no numpy.polynomial in the
+De Giorgi integral.
 
 The pytest process has imported scipy already, so each import check runs in a fresh
-interpreter.
+interpreter, where importing any scipy module raises ImportError.
 """
 
 import ast
@@ -39,6 +40,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+class NoScipy:  # a meta path finder that fails every scipy import
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"klflow imported {name}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
 
 tmp = sys.argv[1]
 loaded = {}
@@ -123,6 +132,22 @@ from klflow.core import Functional
 q = resolve_entry("quadratic?lambda=1&center=0,0").functional
 resolvent(Functional(label="value-only", value=q.value, backend=q.backend), [1.0, 0.5], 0.5)
 loaded["value-only-multistart-2d"] = scipy_modules()
+
+with open(tmp + "/q-dg.yaml", "w") as fh:
+    fh.write(
+        "id: q-dg\nmode: prox\nfunctional: quadratic?lambda=1\nx0: 1.0\ntau: 0.5\n"
+        "n_steps: 1\nprox_controls: {compute_de_giorgi: true}\n"
+    )
+with redirect_stdout(io.StringIO()):
+    assert main(["run", tmp + "/q-dg.yaml", "--output", tmp + "/q-dg-out"]) == 0
+loaded["de-giorgi"] = scipy_modules()
+loaded["de-giorgi-numpy.polynomial"] = "numpy.polynomial" in sys.modules
+
+from klflow import eta_eval, gamma_eval
+from klflow.theta import ParameterFunction
+pf = ParameterFunction(theta=lambda u: u + u * u, theta_deriv=lambda u: 1.0 + 2.0 * u)
+eta_eval(pf, 0.0), eta_eval(pf, 0.5), eta_eval(pf, 7.0), gamma_eval(pf, 2.0)
+loaded["custom-theta"] = scipy_modules()
 print(repr(loaded))
 """
 
@@ -142,14 +167,18 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     # their roots in Python floats; brute force refines by golden section; an
     # n-D resolvent descends in numpy, and the power closed form bisects; the
     # n-D samples (condition scans, flow probes, multistart starts) take their
-    # normal quantile from sampling._ndtri
+    # normal quantile from sampling._ndtri; the De Giorgi integral and a custom
+    # theta's eta take core.gauss_legendre
     for step in ("import", "load", "list-corpus", "exit-2", "convex-resolvent",
                  "resolvent", "convex-resolvent-2d", "kink-resolvent-2d",
                  "power-closed-form", "recursion", "condition", "strict-flow",
-                 "condition-2d", "flow-2d", "value-only-multistart-2d"):
+                 "condition-2d", "flow-2d", "value-only-multistart-2d", "de-giorgi",
+                 "custom-theta"):
         assert loaded[step] == [], (step, loaded[step])
     # the flow's pair certificate picks distinct indices without np.unique
     assert loaded["strict-flow-numpy.ma"] is False
+    # the Gauss-Legendre nodes are literals, not leggauss(8)
+    assert loaded["de-giorgi-numpy.polynomial"] is False
 
 
 def test_public_names_are_the_pinned_list():

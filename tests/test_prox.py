@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 import klflow.prox
 from klflow import Functional, resolve_entry
-from klflow.core import pick_branch
+from klflow.core import GL_NODES, GL_WEIGHTS, gauss_legendre, pick_branch
 from klflow.corpus import make_power_potential, make_quadratic
 from klflow.prox import (
     POINT_TIE_TOL,
@@ -199,6 +199,31 @@ def test_de_giorgi_column_in_sequences():
     )
     assert math.isnan(seq.dg_residuals[0])
     assert np.all(np.abs(seq.dg_residuals[1:]) < 1e-8)
+
+
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert GL_NODES == tuple(nodes.tolist())
+    assert GL_WEIGHTS == tuple(weights.tolist())
+    # degree 15 is integrated exactly: int_0^2 s^15 ds = 2^16 / 16
+    assert gauss_legendre(lambda s: s**15, 0.0, 2.0) == pytest.approx(4096.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "name, x0, tau, residual",
+    [
+        ("quadratic?lambda=1", 1.0, 0.5, -2.2726265314076954e-13),
+        ("power-potential?p=1", 1.0, 0.3, 0.0),
+        ("double-well", 0.5, 0.4, -3.6359804056473877e-14),
+        ("power-potential?p=4", 1.0, 0.2, -6.987188605478423e-12),
+        ("truncated-parabola", 0.7, 0.3, -3.2096547641913276e-13),
+    ],
+)
+def test_de_giorgi_residuals_are_pinned(name, x0, tau, residual):
+    """The residuals the De Giorgi panels gave with their own leggauss(8)
+    rule, bit for bit."""
+    rep = de_giorgi_residual(resolve_entry(name).functional, np.array([x0]), tau)
+    assert rep.residual == residual
 
 
 def test_ioffe_strip_bound():

@@ -84,13 +84,71 @@ def test_custom_theta_against_hand_integral():
         theta_deriv=lambda u: 1.0 + 2.0 * u,
     )
     assert pf.family == "custom"
-    for u in (0.1, 0.5, 1.0, 2.0, 6.0):
+    for u in (0.0, 0.1, 0.5, 1.0, 2.0, 6.0):
         oracle = ((1.0 + 2.0 * u) ** 3 - 27.0) / 6.0
-        assert math.isclose(eta_eval(pf, u), oracle, rel_tol=1e-8)
+        assert math.isclose(eta_eval(pf, u), oracle, rel_tol=1e-13)
+    with pytest.raises(ValueError):  # the panels would never reach u
+        eta_eval(pf, math.inf)
     # the inverse is available even without an explicit one
     for u in (0.05, 1.0, 4.0):
         v = pf.theta(u)
         assert math.isclose(theta_inverse(pf, v), u, rel_tol=1e-9)
+
+
+def _custom_power_theta(c, gamma):
+    """The power family's theta and theta' as a custom parameter function."""
+    pf = make_power_theta(c, gamma)
+    return ParameterFunction(theta=pf.theta, theta_deriv=pf.theta_deriv)
+
+
+def test_custom_theta_eta_against_mpmath():
+    """A custom theta's eta, panel by panel, within 1e-12 relative of the
+    power family's closed form in 40 digits, from u = 1e-100 to 1e200 and
+    at u = 0."""
+    import mpmath
+
+    grid = [float(u) for u in np.logspace(-100, 200, 61)] + [0.3, 0.999, 1.001, 7.0]
+    for gamma in (0.1, 0.25, 0.4, 0.5, 0.51, 0.55, 0.6, 0.75, 0.9, 1.0):
+        for c in (0.5, 1.0, 2.0):
+            pf = _custom_power_theta(c, gamma)
+            for u in grid + [0.0]:
+                try:  # theta'^2 is largest at min(u, 1)
+                    if u > 0.0 and not math.isfinite(pf.theta_deriv(min(u, 1.0)) ** 2):
+                        continue
+                except OverflowError:
+                    continue
+                with mpmath.workdps(40):
+                    p = 2 * mpmath.mpf(gamma) - 1
+                    if u == 0.0:
+                        exact = -c * c / p if p > 0 else -mpmath.inf
+                    elif p == 0:
+                        exact = c * c * mpmath.log(u)
+                    else:
+                        exact = c * c * (mpmath.mpf(u) ** p - 1) / p
+                    exact = float(exact)
+                assert math.isclose(eta_eval(pf, u), exact, rel_tol=1e-12), (gamma, c, u)
+
+
+@pytest.mark.parametrize("gamma", (0.25, 0.5))
+def test_custom_theta_eta_diverges_at_zero(gamma):
+    """theta'^2 = c^2 s^(2 gamma - 2) is not integrable at 0 for gamma <= 1/2."""
+    rng = np.random.default_rng(20)
+    for c in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 200)):
+        assert eta_eval(_custom_power_theta(float(c), gamma), 0.0) == -math.inf, c
+
+
+def test_custom_theta_eta_at_zero_where_theta_deriv_underflows():
+    """theta'(s) = exp(-1/s): theta'^2 is 0 in floats on the last eta(0)
+    panels, which then predict no tail."""
+    import mpmath
+
+    pf = ParameterFunction(
+        theta=lambda u: float(mpmath.quad(lambda s: mpmath.exp(-1 / s), [0, u])),
+        theta_deriv=lambda u: math.exp(-1.0 / u),
+    )
+    with mpmath.workdps(40):
+        exact = float(-mpmath.quad(lambda s: mpmath.exp(-2 / s), [0, 1]))
+    assert math.isclose(eta_eval(pf, 0.0), exact, rel_tol=1e-13)
 
 
 def test_custom_theta_inverse_is_exact_to_one_ulp():
