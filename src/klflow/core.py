@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -151,6 +152,20 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def scaled_norm(v: np.ndarray) -> float:
+    """``norm(v)``, except where the squares underflow.
+
+    Where v.v is below the smallest normal float and v is not 0, returns
+    s * norm(v / s) with s = max |v_i|, whose squares do not underflow, so
+    the magnitude is kept down to the subnormals.
+    """
+    sq = v.dot(v)
+    if sq < sys.float_info.min and v.any():
+        s = float(np.abs(v).max())
+        return s * norm(v / s)
+    return math.sqrt(sq)
+
+
 def row_norms(diff: np.ndarray) -> np.ndarray:
     """``norm`` of each row, rounded as the 1-d call rounds it.
 
@@ -177,12 +192,16 @@ class Functional:
     """Nonnegative extended-value objective over a metric backend.
 
     ``value`` may return ``math.inf`` outside the effective domain.
-    ``analytic_slope`` (exact descending slope) and ``smooth_gradient`` are
-    optional oracles; ``smooth_gradient`` returns ``None`` at points where the
-    objective is not differentiable.  ``batch_value`` is an optional batched
-    form of ``value``: it maps an (m, dim) array of points to their m values
-    and must agree with ``value`` bit for bit, because the dense scans that
-    use it select candidates by exact comparisons.
+    ``smooth_gradient`` is an optional oracle that returns ``None`` at points
+    where the objective is not differentiable; ``slope.descending_slope``
+    derives the descending slope from it, at a 1-D kink from the gradients of
+    the neighbouring floats.  ``analytic_slope`` is an optional exact slope
+    that takes precedence; the corpus sets none.
+
+    ``batch_value`` is an optional batched form of ``value``: it maps an
+    (m, dim) array of points to their m values and must agree with ``value``
+    bit for bit, because the dense scans that use it select candidates by
+    exact comparisons.
 
     ``convexity`` is an optional convexity modulus lambda: f(z) - lambda/2
     |z|^2 is convex.  Set it only where a closed form proves it.  When

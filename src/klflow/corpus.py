@@ -1,16 +1,16 @@
 """Benchmark functionals with exact oracles, addressable by string id.
 
 Each entry bundles a Functional with whatever closed forms exist for it:
-exact slope, smooth gradient (None at kinks), convexity modulus (only
-where the closed form proves one), gradient-flow trajectory, resolvent,
-the admissible-set infimum alpha, and a matched parameter function +
-radius for the anchored slope condition.  Ids look like
-``double-well?lambda=1&a=1``; see ``list_corpus``.
+smooth gradient (None at kinks; the descending slope is derived from it,
+see ``klflow.slope``), convexity modulus (only where the closed form
+proves one), gradient-flow trajectory, resolvent, the admissible-set
+infimum alpha, and a matched parameter function + radius for the anchored
+slope condition.  Ids look like ``double-well?lambda=1&a=1``; see
+``list_corpus``.
 """
 from __future__ import annotations
 
 import math
-import sys
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     EPS, EuclideanBackend, Functional, as_point, dense_scan, golden_section, norm,
-    pick_branch, row_norms,
+    pick_branch, row_norms, scaled_norm,
 )
 from .theta import ParameterFunction, make_power_theta
 
@@ -77,9 +77,6 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
     def batch_value(xs):
         return 0.5 * lam * np.sum((xs - c) ** 2, axis=1)
 
-    def slope(x):
-        return lam * norm(x - c)
-
     def gradient(x):
         return lam * (x - c)
 
@@ -109,7 +106,6 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
             value=value,
             batch_value=batch_value,
             backend=backend,
-            analytic_slope=slope,
             smooth_gradient=gradient,
             convexity=lam,
         ),
@@ -135,9 +131,6 @@ def make_double_well(lam: float = 1.0, a: float = 1.0) -> CorpusEntry:
 
     def batch_value(xs):
         return 0.5 * lam * _float_pow(np.abs(xs[:, 0]) - a, 2)
-
-    def slope(x):
-        return lam * abs(abs(float(x[0])) - a)
 
     def gradient(x):
         v = float(x[0])
@@ -181,7 +174,6 @@ def make_double_well(lam: float = 1.0, a: float = 1.0) -> CorpusEntry:
             value=value,
             batch_value=batch_value,
             backend=backend,
-            analytic_slope=slope,
             smooth_gradient=gradient,
         ),
         provenance=f"double-well lam={lam} a={a}",
@@ -213,10 +205,6 @@ def make_truncated_parabola(x_ref: float = 1.0) -> CorpusEntry:
     def batch_value(xs):
         v = xs[:, 0]
         return np.where(v >= 0, v * v, plateau)
-
-    def slope(x):
-        v = float(x[0])
-        return 2.0 * v if v > 0 else 0.0
 
     def gradient(x):
         v = float(x[0])
@@ -270,7 +258,6 @@ def make_truncated_parabola(x_ref: float = 1.0) -> CorpusEntry:
             value=value,
             batch_value=batch_value,
             backend=backend,
-            analytic_slope=slope,
             smooth_gradient=gradient,
         ),
         provenance=f"truncated-parabola x_ref={x_ref}",
@@ -309,10 +296,6 @@ def make_staircase(m: float = 1.0, eps: float = 0.1) -> CorpusEntry:
         v = xs[:, 0]
         return np.where(v <= 0, 0.0, np.where(v <= 1.0, m * v, m * v + eps))
 
-    def slope(x):
-        v = float(x[0])
-        return m if v > 0 else 0.0
-
     def gradient(x):
         v = float(x[0])
         if v < 0:
@@ -342,7 +325,6 @@ def make_staircase(m: float = 1.0, eps: float = 0.1) -> CorpusEntry:
             value=value,
             batch_value=batch_value,
             backend=backend,
-            analytic_slope=slope,
             smooth_gradient=gradient,
         ),
         provenance=f"staircase m={m} eps={eps}",
@@ -370,14 +352,9 @@ def make_asymmetric_double_well(
     b = math.sqrt(2.0 * eps / lam)  # plateau half-width around +a
     backend = EuclideanBackend(1)
 
-    def branches(v: float) -> Tuple[float, float]:
-        vr = max(0.5 * lam * (v - a) ** 2, eps)
-        vl = 0.5 * lam * (v + a) ** 2
-        return vr, vl
-
     def value(x):
-        vr, vl = branches(float(x[0]))
-        return min(vr, vl)
+        v = float(x[0])
+        return min(max(0.5 * lam * (v - a) ** 2, eps), 0.5 * lam * (v + a) ** 2)
 
     def batch_value(xs):
         v = xs[:, 0]
@@ -385,29 +362,20 @@ def make_asymmetric_double_well(
         vl = 0.5 * lam * _float_pow(v + a, 2)
         return np.minimum(vr, vl)
 
-    def slope(x):
-        v = float(x[0])
-        vr, vl = branches(v)
-        right_slope = 0.0 if 0.5 * lam * (v - a) ** 2 <= eps else lam * abs(v - a)
-        left_slope = lam * abs(v + a)
-        if vl < vr:
-            return left_slope
-        if vr < vl:
-            return right_slope
-        return max(left_slope, right_slope)
-
     def gradient(x):
+        # the branches cross only at 0 (the left one is below for v < 0), so
+        # the sign of v picks the branch where they tie in floats
         v = float(x[0])
-        vr, vl = branches(v)
-        if vl < vr:
+        if v < 0.0:
             return np.array([lam * (v + a)])
-        if vr < vl:
-            if 0.5 * lam * (v - a) ** 2 < eps:
-                return np.array([0.0])
-            if 0.5 * lam * (v - a) ** 2 == eps:
-                return None
-            return np.array([lam * (v - a)])
-        return None
+        if v == 0.0:
+            return None
+        right = 0.5 * lam * (v - a) ** 2
+        if right < eps:
+            return np.array([0.0])
+        if right == eps:
+            return None
+        return np.array([lam * (v - a)])
 
     def known_alpha(x0, r):
         v0 = float(as_point(x0)[0])
@@ -424,7 +392,6 @@ def make_asymmetric_double_well(
             value=value,
             batch_value=batch_value,
             backend=backend,
-            analytic_slope=slope,
             smooth_gradient=gradient,
         ),
         provenance=f"asymmetric-double-well lam={lam} a={a} eps={eps}",
@@ -448,47 +415,28 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
     c = as_point(center)
     backend = EuclideanBackend(c.size)
 
-    def rescale(u):
-        # u = s v with s = max |u_i|, for u whose squares underflow: the
-        # squares of v do not
-        s = float(np.abs(u).max())
-        return s, u / s
-
-    def dist(u):
-        sq = u.dot(u)
-        if sq < sys.float_info.min and u.any():
-            s, v = rescale(u)
-            return s * norm(v)
-        return math.sqrt(sq)
-
     def value(x):
-        return scale * dist(x - c) ** p
+        return scale * scaled_norm(x - c) ** p
 
     def batch_value(xs):
         diffs = xs - c
         ds = row_norms(diffs)
-        # row_norms rounds as dist does; a row whose squares underflowed has
-        # a norm of at most sqrt(float min) = 2^-511, and takes dist
+        # row_norms rounds as scaled_norm does; a row whose squares
+        # underflowed has a norm of at most sqrt(float min) = 2^-511
         for i in np.flatnonzero(ds <= 2.0**-511):
-            ds[i] = dist(diffs[i])
+            ds[i] = scaled_norm(diffs[i])
         return scale * _float_pow(ds, p)
-
-    def slope(x):
-        d = dist(x - c)
-        if d == 0.0:
-            return 0.0
-        return scale * p * d ** (p - 1.0)
 
     def gradient(x):
         u = x - c
-        d = dist(u)
+        d = scaled_norm(u)
         if d == 0.0:
             # the cone's kink; for p > 1 the gradient vanishes at the centre
             return None if p == 1.0 else np.zeros_like(c)
         if d < 2.0**-511:
-            # the squares underflowed (dist rescaled u): the direction v / |v|
-            # keeps unit length, so a kink has no gradient-free halo
-            _, v = rescale(u)
+            # the squares underflowed (scaled_norm rescaled u): the direction
+            # v / |v| keeps unit length, so a kink has no gradient-free halo
+            v = u / np.abs(u).max()
             return scale * p * d ** (p - 1.0) * (v / norm(v))
         return scale * p * d ** (p - 2.0) * u
 
@@ -512,7 +460,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
 
     def resolvent(x, tau):
         x = as_point(x)
-        d = dist(x - c)
+        d = scaled_norm(x - c)
         if d == 0.0:
             return [c.copy()]
         rho = radial_resolvent(d, tau)
@@ -520,7 +468,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
 
     def trajectory(x0, policy="positive-branch"):
         x0 = as_point(x0)
-        d0 = dist(x0 - c)
+        d0 = scaled_norm(x0 - c)
         if d0 == 0.0:
             return lambda t: c.copy()
         u = (x0 - c) / d0
@@ -548,7 +496,6 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
             value=value,
             batch_value=batch_value,
             backend=backend,
-            analytic_slope=slope,
             smooth_gradient=gradient,
             # d^p is convex for p >= 1; at p = 2 it is the quadratic
             # scale * d^2, whose modulus is 2 scale
@@ -597,13 +544,6 @@ def make_sharpness(
         out[ramp] = [pf.theta_inverse(u) for u in (v[ramp] + eps).tolist()]
         return out
 
-    def slope(x):
-        v = float(x[0])
-        if v <= 0 or v >= big_m:
-            return 0.0
-        u = pf.theta_inverse(v + eps)
-        return 1.0 / pf.theta_deriv(u)
-
     def gradient(x):
         v = float(x[0])
         if v == 0.0 or v == big_m:
@@ -611,6 +551,10 @@ def make_sharpness(
         if v < 0 or v > big_m:
             return np.array([0.0])
         u = pf.theta_inverse(v + eps)
+        if u == 0.0:
+            # theta^{-1} underflowed: the limit of 1/theta' at 0 is 0 for
+            # gamma < 1 and 1/c for gamma = 1
+            return np.array([1.0 / pf.c if pf.gamma == 1.0 else 0.0])
         return np.array([1.0 / pf.theta_deriv(u)])
 
     def condition_data(x0):
@@ -623,7 +567,6 @@ def make_sharpness(
             value=value,
             batch_value=batch_value,
             backend=backend,
-            analytic_slope=slope,
             smooth_gradient=gradient,
         ),
         provenance=f"sharpness c={c} gamma={gamma} M={big_m} eps={eps}",

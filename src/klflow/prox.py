@@ -399,7 +399,7 @@ def run_prox_sequence(
     points = [x.copy()]
     fs = [f.value(x)]
     dists = [0.0]
-    slopes = [descending_slope(f, x).value]
+    slopes = [descending_slope(f, x, fx=fs[0]).value]
     dgs = [math.nan]
     steps: List[ProxStep] = []
     used_taus: List[float] = []
@@ -412,7 +412,7 @@ def run_prox_sequence(
             res = resolvent(f, x, t, c)
             z, fz = _picked(res, c.policy, x)
             d = norm(z - x)
-            sl = descending_slope(f, z).value
+            sl = descending_slope(f, z, fx=fz).value
             dg = math.nan
             if c.compute_de_giorgi:
                 dg = de_giorgi_residual(f, x, t, controls=c).residual

@@ -240,7 +240,7 @@ def test_reports_say_how_the_verdict_was_computed():
         assert rep.details["slope_method"] == "ball-sampling"
     exact = check_conditions(resolve_entry("quadratic?lambda=1").functional, pf, x0, 0.5,
                              alpha_override=2.0)
-    assert exact["A"].details["slope_method"] == "analytic"
+    assert exact["A"].details["slope_method"] == "gradient-norm"
     # a given alpha is not a sampled verdict
     assert exact["C"].details["sample_count"] == 0
     assert exact["C"].details["slope_method"] is None
@@ -272,7 +272,7 @@ def test_scans_with_exact_slopes_refine_to_the_step_tolerance():
     for name, (point, gap) in [("A", a_witness), ("A-strict", a_witness),
                                ("C", c_witness), ("C-strict", c_witness)]:
         rep = reps[name]
-        assert not rep.holds and rep.details["slope_method"] == "analytic"
+        assert not rep.holds and rep.details["slope_method"] == "gradient-norm"
         assert rep.alpha_estimate == 1.9999999999999991, name
         assert rep.worst_witness[0].tolist() == point and rep.worst_witness[1] == gap, name
     assert reps["A"].details["min_product"] == 0.9999999999999997

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from klflow import brute_force_minimiser, list_corpus, resolve_entry, resolvent
+from klflow import (
+    brute_force_minimiser, descending_slope, list_corpus, resolve_entry, resolvent,
+    run_prox_sequence,
+)
 from klflow.core import EuclideanBackend, Functional, dense_scan, norm
 from klflow.corpus import make_power_potential, make_quadratic
 
@@ -92,7 +95,7 @@ def test_double_well_shape_and_tie():
     e = resolve_entry("double-well?lambda=1&a=1")
     f = e.functional
     assert math.isclose(f.value(np.array([0.4])), 0.18, rel_tol=1e-14)
-    assert f.analytic_slope(np.array([0.0])) == 1.0
+    assert descending_slope(f, np.array([0.0])).value == 1.0
     pts = e.analytic_resolvent(np.array([0.0]), 0.5)
     vals = sorted(float(p[0]) for p in pts)
     v = 0.5 * 1.0 / 1.5  # lam tau a / (1 + lam tau)
@@ -148,6 +151,37 @@ def test_sharpness_profile_is_theta_inverse_of_distance():
         assert math.isclose(pf.theta(f.value(np.array([x]))), x + 0.05, rel_tol=1e-12)
     assert f.value(np.array([-0.5])) == f.value(np.array([-2.0]))
     assert f.value(np.array([4.5])) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("v", [1e-200, 5e-324])
+def test_sharpness_gradient_where_theta_inverse_underflows(gamma, v):
+    # theta^{-1}(v) underflows to 0 (except 1e-200 at gamma 0.75); the
+    # gradient there is the limit of 1/theta' at 0: 0 below gamma = 1, 1/c at it
+    c = 2.0
+    f = resolve_entry(f"sharpness?c={c}&gamma={gamma}&M=4&eps=0").functional
+    (g,) = f.gradient(np.array([v]))
+    if gamma == 1.0:
+        assert g == 1.0 / c
+    elif f.value(np.array([v])) == 0.0:
+        assert g == 0.0
+    else:
+        assert 0.0 < g < 1e-60
+    assert descending_slope(f, np.array([v])).value == g
+    seq = run_prox_sequence(f, np.array([v]), 0.1, n_steps=3)
+    assert seq.slopes[0] == g
+
+
+@pytest.mark.parametrize("v", [1e-17, -1e-17, 5e-324, -5e-324, 0.0])
+def test_asymmetric_double_well_gradient_is_none_only_at_the_crossing(v):
+    # the branches tie in floats for |v| up to about 5.5e-17, but cross
+    # only at 0: the sign of v picks the branch
+    f = resolve_entry("asymmetric-double-well?lambda=2&a=1.5&eps=0.3").functional
+    g = f.gradient(np.array([v]))
+    if v == 0.0:
+        assert g is None
+    else:
+        assert g.tolist() == [2.0 * (v + 1.5) if v < 0 else 2.0 * (v - 1.5)]
 
 
 def test_known_alpha_against_estimates():
@@ -356,7 +390,7 @@ def test_power_potential_value_keeps_its_magnitude_where_squares_underflow(p):
     assert _bits(f.values(pts)) == _bits([f.value(q) for q in pts])
     assert [f.value(q) for q in pts] == [abs(z) ** p for z in zs]
     if p == 1.0:
-        assert [f.analytic_slope(q) for q in pts] == [1.0] * 7 + [0.0]
+        assert [descending_slope(f, q).value for q in pts] == [1.0] * 7 + [0.0]
     f2 = resolve_entry(f"power-potential?p={p}&center=0,0").functional
     pts2 = np.array([[z, -z] for z in zs])
     assert _bits(f2.values(pts2)) == _bits([f2.value(q) for q in pts2])

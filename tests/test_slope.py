@@ -1,6 +1,7 @@
-"""Sampled descending slopes."""
+"""Descending slopes: derived from the gradient oracle, and sampled."""
 
 import math
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -14,6 +15,44 @@ from klflow import (
 )
 from klflow.core import INF
 from klflow.sampling import SAMPLER_SEED, unit_directions
+from klflow.theta import make_power_theta
+
+
+def reference_slope(entry_id, x):
+    """The closed-form descending slope of the corpus entry ``entry_id`` at x."""
+    name, _, query = entry_id.partition("?")
+    q = {k: np.array(v.split(","), dtype=float) if "," in v else float(v)
+         for k, v in urllib.parse.parse_qsl(query)}
+    lam, a, eps = q.get("lambda", 1.0), q.get("a", 1.0), q.get("eps", 0.1)
+    v = float(x[0])
+    if name == "quadratic":
+        return lam * math.hypot(*(x - q.get("center", 0.0)))
+    if name == "double-well":
+        return lam * abs(abs(v) - a)
+    if name == "truncated-parabola":
+        return 2.0 * v if v > 0 else 0.0
+    if name == "staircase":
+        return q.get("m", 1.0) if v > 0 else 0.0
+    if name == "asymmetric-double-well":
+        # the left well for v <= 0, the right one flattened to a plateau for v > 0
+        if v <= 0:
+            return lam * abs(v + a)
+        return 0.0 if 0.5 * lam * (v - a) ** 2 <= eps else lam * abs(v - a)
+    if name == "power-potential":
+        p, scale = q.get("p", 2.0), q.get("scale", 1.0)
+        d = math.hypot(*(x - q.get("center", 0.0)))
+        return 0.0 if d == 0.0 else scale * p * d ** (p - 1.0)
+    if name == "sharpness":
+        c, gamma = q.get("c", 1.0), q.get("gamma", 0.5)
+        if v <= 0 or v >= q.get("M", 4.0):
+            return 0.0
+        pf = make_power_theta(c, gamma)
+        u = pf.theta_inverse(v + q.get("eps", 0.0))
+        if u == 0.0:  # the limit of 1 / theta' at 0
+            return 1.0 / c if gamma == 1.0 else 0.0
+        return 1.0 / pf.theta_deriv(u)
+    raise KeyError(entry_id)
+
 
 CORPUS_IDS = (
     "quadratic?lambda=1",
@@ -158,9 +197,101 @@ def test_corpus_sampled_matches_analytic():
         assert len(pts) == 100
         for p in pts:
             x = np.array([p])
-            a = e.functional.analytic_slope(x)
+            a = reference_slope(cid, x)
             s = sampled_slope(e.functional, x).value
             if not np.isfinite(a):
                 assert not np.isfinite(s)
             else:
                 assert abs(s - a) <= max(0.02 * abs(a), 1e-3), (cid, p, a, s)
+
+
+REFERENCE_IDS = (
+    "quadratic?lambda=2.5&center=0.3",
+    "double-well?lambda=0.7&a=1.3",
+    "truncated-parabola?x_ref=2",
+    "staircase?m=1&eps=0.1",
+    "staircase?m=2&eps=0",
+    "asymmetric-double-well",
+    "asymmetric-double-well?lambda=2&a=1.5&eps=0.3",
+    "sharpness?c=1&gamma=0.5&M=4&eps=0.05",
+    "sharpness?c=1&gamma=0.5&M=4&eps=0",
+    "sharpness?c=1.3&gamma=1&M=2&eps=0",
+    "power-potential?p=1",
+    "power-potential?p=1.5&scale=2",
+    "power-potential?p=4",
+)
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b))) if a != b else 0.0
+
+
+@pytest.mark.parametrize("cid", REFERENCE_IDS)
+def test_descending_slope_is_the_reference_table(cid):
+    # at random points and at every nonsmooth point and its two float
+    # neighbours the slope comes from the gradient oracle, never sampling
+    e = resolve_entry(cid)
+    rng = np.random.default_rng(2811)
+    pts = rng.uniform(*e.sample_box, size=2000).tolist()
+    for q in e.nonsmooth_points:
+        pts += [math.nextafter(q, -INF), q, math.nextafter(q, INF)]
+    exact = not cid.startswith("power-potential")
+    for p in pts:
+        x = np.array([p])
+        est = descending_slope(e.functional, x)
+        ref = reference_slope(cid, x)
+        assert est.method == "gradient-norm", (cid, p)
+        if exact:
+            assert est.value == ref, (cid, p, est.value, ref)
+        else:  # norm(g) rounds differently from scale p d^(p - 1)
+            assert _ulps(est.value, ref) <= 4, (cid, p, est.value, ref)
+
+
+@pytest.mark.parametrize("cid", ["power-potential?p=4&center=0,0,0", "power-potential?p=1.5&center=1,0",
+                                 "quadratic?lambda=1&center=0,0"])
+def test_descending_slope_is_the_reference_table_in_several_dimensions(cid):
+    e = resolve_entry(cid)
+    rng = np.random.default_rng(2812)
+    for x in rng.uniform(*e.sample_box, size=(500, e.functional.backend.dimension)):
+        est = descending_slope(e.functional, x)
+        assert est.method == "gradient-norm"
+        assert _ulps(est.value, reference_slope(cid, x)) <= 4, (cid, x)
+
+
+@pytest.mark.parametrize(
+    "cid,point,expected",
+    [
+        ("staircase?m=2&eps=0.1", [1.0], 2.0),  # the jump: descent from the left
+        ("staircase?m=2&eps=0.1", [0.0], 0.0),  # the ramp ascends from the plateau
+        ("sharpness?c=1&gamma=0.5&M=4&eps=0", [4.0], 0.0),  # the ramp jumps up on the left
+        ("sharpness?c=1&gamma=0.5&M=4&eps=0", [0.0], 0.0),
+        ("truncated-parabola", [0.0], 0.0),
+        ("double-well?lambda=0.5&a=3", [0.0], 1.5),  # the ridge descends to both wells
+        ("asymmetric-double-well?lambda=2&a=1.5&eps=0.3", [0.0], 3.0),
+        ("power-potential?p=1", [0.0], 0.0),
+        ("power-potential?p=1&center=0,0", [0.0, 0.0], 0.0),
+    ],
+)
+def test_kink_slopes_are_exact(cid, point, expected):
+    f = resolve_entry(cid).functional
+    x = np.array(point)
+    assert f.gradient(x) is None
+    est = descending_slope(f, x)
+    assert est.value == expected
+    assert est.method == ("gradient-norm" if x.size == 1 else "ball-sampling")
+
+
+@pytest.mark.parametrize(
+    "cid,point",
+    [
+        ("truncated-parabola", [5e-324]),
+        ("power-potential?p=1.5", [-1e-300]),
+        ("quadratic?lambda=1&center=0,0", [1e-160, 3e-160]),
+        ("power-potential?p=4&center=0,0", [1e-60, -1e-60]),  # f = 4e-240 > 0
+    ],
+)
+def test_gradient_norm_keeps_its_magnitude_where_squares_underflow(cid, point):
+    x = np.array(point)
+    est = descending_slope(resolve_entry(cid).functional, x)
+    assert est.value > 0.0
+    assert _ulps(est.value, reference_slope(cid, x)) <= 4
