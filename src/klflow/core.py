@@ -15,7 +15,7 @@ import numbers
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,17 +115,114 @@ def plain(obj):
     return obj
 
 
-def write_csv(path, columns: Dict[str, Sequence]) -> None:
+def _reprs(col) -> List[str]:
+    """``repr`` of every cell of a column."""
+    return list(map(repr, col.tolist() if isinstance(col, np.ndarray) else col))
+
+
+def _float_bits(col) -> Optional[np.ndarray]:
+    """The bits of a non-empty float64 array column as int64, else None."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64 and col.size:
+        return col.view(np.int64)
+    return None
+
+
+class _Source:
+    """A float column that later files reuse, with its text once formatted."""
+
+    __slots__ = ("bits", "first", "reuses", "text")
+
+    def __init__(self, bits: np.ndarray) -> None:
+        self.bits = bits
+        self.first = int(bits[0])
+        self.reuses = 0  # files still to be written that reuse the column
+        self.text: Optional[List[str]] = None
+
+
+class SharedColumns:
+    """The float columns that several CSV files of one run write, formatted once.
+
+    Built from the tables of the run's files, in the order ``write_csv``
+    will write them.  A float column that equals a column of an earlier
+    table, or a leading slice of one, reuses that column's text: its first
+    file formats it whole and holds the text, and the last file that reuses
+    it drops the text.  Columns match bit for bit, so every reused cell is
+    the ``repr`` of its own value (-0.0 does not match 0.0).  Only the text
+    of reused columns is held, and an instance belongs to one run.
+    """
+
+    def __init__(self, tables: Iterable[Dict[str, Sequence]]) -> None:
+        self._sources: List[_Source] = []
+        for table in tables:
+            for col in table.values():
+                bits = _float_bits(col)
+                if bits is None:
+                    continue
+                source = self._find(bits)
+                if source is None:
+                    self._sources.append(_Source(bits))
+                else:
+                    source.reuses += 1
+        self._sources = [s for s in self._sources if s.reuses]
+
+    def _find(self, bits: np.ndarray) -> Optional[_Source]:
+        """The first source that ``bits`` equals or is a leading slice of."""
+        n = bits.size
+        first = int(bits[0])
+        for source in self._sources:
+            held = source.bits
+            if (
+                source.first == first and held.size >= n and held[n - 1] == bits[-1]
+                and np.array_equal(held[:n], bits)
+            ):
+                return source
+        return None
+
+    def text(self, col) -> Optional[List[str]]:
+        """The cells of ``col`` if it is a reused column, else None."""
+        bits = _float_bits(col)
+        source = None if bits is None else self._find(bits)
+        if source is None:
+            return None
+        if source.text is None:  # the column's first file
+            if source.bits.size != bits.size:
+                return None
+            source.text = _reprs(col)
+            return source.text
+        text = source.text
+        source.reuses -= 1
+        if not source.reuses:
+            self._sources.remove(source)
+        return text if len(text) == bits.size else text[:bits.size]
+
+
+#: rows formatted at a time of a column that no other file reuses
+CSV_BLOCK = 1024
+
+
+def write_csv(
+    path, columns: Dict[str, Sequence], shared: Optional[SharedColumns] = None
+) -> None:
     """Write named columns as CSV, one LF-terminated line per row.
 
-    Columns are numpy arrays or lists of Python numbers.  Every cell is
-    written with ``repr``, so floats round-trip bit for bit and integers
-    stay integers.
+    Columns are numpy arrays, lists of Python numbers or ranges.  Every
+    cell is written with ``repr``, so floats round-trip bit for bit and
+    integers stay integers.  Cells are formatted column by column, in
+    blocks of ``CSV_BLOCK`` rows, except that a column which ``shared``
+    reuses across the files of a run is formatted once for all of them.
+    Without ``shared`` the file shares repeated columns within itself.
     """
-    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in zip(*cells)]
+    if shared is None:
+        shared = SharedColumns([columns])
+    cols = list(columns.values())
+    n = min(map(len, cols), default=0)
+    texts = [shared.text(c) for c in cols]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for a in range(0, n, CSV_BLOCK):
+            b = a + CSV_BLOCK
+            block = [_reprs(c[a:b]) if t is None else t[a:b] for c, t in zip(cols, texts)]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def as_point(x) -> np.ndarray:

@@ -17,6 +17,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -30,13 +31,14 @@ from .certificates import (
 from .conditions import (  # noqa: F401
     ConditionReport, check_condition_A, check_condition_C, check_conditions
 )
-from .core import as_point, check_int, check_real, norm, plain, write_csv
+from .core import SharedColumns, as_point, check_int, check_real, norm, plain, write_csv
 from .corpus import CorpusEntry, brute_force_minimiser, resolve_entry
 from .flow import (
     FlowControls,
     certify_power_family,
     certify_rates_continuous,
     integrate_maximal_slope,
+    trajectory_table,
     trajectory_to_csv,
     verify_ede,
 )
@@ -50,6 +52,7 @@ from .prox import (
     recursive_bound,
     recursive_bound_params,
     run_prox_sequence,
+    sequence_table,
     sequence_to_csv,
     tau_schedule,
 )
@@ -253,7 +256,8 @@ def _condition_to_dict(rep: ConditionReport) -> dict:
     )
 
 
-def _write_cert_csv(cert: RateCertificate, path: Path) -> None:
+def _cert_table(cert: RateCertificate) -> dict:
+    """The columns ``t`` (``k`` in a discrete run), observed, bound, margin."""
     ts, pred, obs = (
         np.asarray(a, dtype=float) for a in (cert.ts, cert.predicted, cert.observed)
     )
@@ -261,16 +265,30 @@ def _write_cert_csv(cert: RateCertificate, path: Path) -> None:
         axis = {"k": [int(k) if k.is_integer() else k for k in ts.tolist()]}
     else:
         axis = {"t": ts}
-    write_csv(path, {**axis, "observed": obs, "bound": pred, "margin": pred - obs})
+    return {**axis, "observed": obs, "bound": pred, "margin": pred - obs}
 
 
-def emit_plot_data(certificates: Sequence[RateCertificate], out_dir) -> List[str]:
-    """One observed/bound/margin CSV per non-skipped certificate."""
+def _write_cert_csv(
+    cert: RateCertificate, path: Path, shared: Optional[SharedColumns] = None
+) -> None:
+    write_csv(path, _cert_table(cert), shared)
+
+
+def emit_plot_data(
+    certificates: Sequence[RateCertificate], out_dir, shared: Optional[SharedColumns] = None
+) -> List[str]:
+    """One observed/bound/margin CSV per non-skipped certificate.
+
+    ``shared`` holds the columns that other files of the run repeat; without
+    it the certificates' files share their repeated columns among themselves.
+    """
     live = [c for c in certificates if not c.skipped and c.ts.size]
     if not live:
         raise ValueError("no certificate data to emit")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if shared is None:
+        shared = SharedColumns(map(_cert_table, live))
     used: dict = {}
     files = []
     for cert in live:
@@ -278,7 +296,7 @@ def emit_plot_data(certificates: Sequence[RateCertificate], out_dir) -> List[str
         used[cert.kind] = count + 1
         stem = cert.kind if count == 0 else f"{cert.kind}-{count + 1}"
         path = out_dir / f"cert_{stem}.csv"
-        _write_cert_csv(cert, path)
+        _write_cert_csv(cert, path, shared)
         files.append(str(path))
     return files
 
@@ -404,7 +422,7 @@ def _run_flow_mode(
     x0: np.ndarray,
     r: float,
     conditions: dict,
-    run_dir: Path,
+    tables: list,
     report: RunReport,
 ) -> List[RateCertificate]:
     f = entry.functional
@@ -424,9 +442,7 @@ def _run_flow_mode(
         )
         if opt is not None:
             certs.append(opt)
-    csv_path = run_dir / "trajectory.csv"
-    trajectory_to_csv(traj, csv_path)
-    report.files.append(csv_path.name)
+    tables.append(("trajectory.csv", trajectory_to_csv, traj, trajectory_table(traj)))
     monotone = bool(np.all(np.diff(traj.fs) <= 1e-12 * (1.0 + np.abs(traj.fs[:-1]))))
     report.flow_summary = plain(
         {
@@ -459,7 +475,7 @@ def _run_prox_mode(
     x0: np.ndarray,
     r: float,
     conditions: dict,
-    run_dir: Path,
+    tables: list,
     report: RunReport,
 ) -> List[RateCertificate]:
     f = entry.functional
@@ -489,9 +505,7 @@ def _run_prox_mode(
         )
         for m, s in zip(mono, seq.steps)
     )
-    csv_path = run_dir / "sequence.csv"
-    sequence_to_csv(seq, csv_path)
-    report.files.append(csv_path.name)
+    tables.append(("sequence.csv", sequence_to_csv, seq, sequence_table(seq)))
     report.prox_summary = plain(
         {
             **limit_diagnostics(seq),
@@ -515,7 +529,7 @@ def _run_prox_mode(
 
 
 def _run_recursion_mode(
-    config: ExperimentConfig, run_dir: Path, report: RunReport
+    config: ExperimentConfig, tables: list, report: RunReport
 ) -> List[RateCertificate]:
     spec = config.recursion
     params = recursive_bound_params(
@@ -540,9 +554,7 @@ def _run_recursion_mode(
             "k0": params.k0,
         },
     )
-    csv_path = run_dir / "recursion.csv"
-    _write_cert_csv(cert, csv_path)
-    report.files.append(csv_path.name)
+    tables.append(("recursion.csv", _write_cert_csv, cert, _cert_table(cert)))
     report.recursion_summary = plain(
         {
             "k_max": k_max,
@@ -573,6 +585,8 @@ def run_experiment(
         config=plain(asdict(config)),
     )
     certs: List[RateCertificate] = []
+    # (file name, writer, what it writes, its columns) of the run's main CSVs
+    tables: list = []
 
     entry = resolve_entry(config.functional) if config.functional else None
     if config.mode in ("condition", "flow", "prox", "all"):
@@ -597,19 +611,25 @@ def run_experiment(
             report.flow_summary.update(plain(summary))
     if config.mode in ("flow", "all"):
         certs.extend(
-            _run_flow_mode(config, entry, pf, x0, r, conditions, run_dir, report)
+            _run_flow_mode(config, entry, pf, x0, r, conditions, tables, report)
         )
     if config.mode in ("prox", "all") and (config.mode == "prox" or config.tau is not None):
         certs.extend(
-            _run_prox_mode(config, entry, pf, x0, r, conditions, run_dir, report)
+            _run_prox_mode(config, entry, pf, x0, r, conditions, tables, report)
         )
     if config.mode == "recursion" or (config.mode == "all" and config.recursion):
-        certs.extend(_run_recursion_mode(config, run_dir, report))
+        certs.extend(_run_recursion_mode(config, tables, report))
 
     report.certificates = [certificate_to_dict(c) for c in certs]
     live = [c for c in certs if not c.skipped and c.ts.size]
+    # every CSV is written once all are known, so that a column which several
+    # files repeat is formatted once
+    shared = SharedColumns(chain((t[3] for t in tables), map(_cert_table, live)))
+    for name, write, data, _ in tables:
+        write(data, run_dir / name, shared)
+        report.files.append(name)
     if live:
-        report.files.extend(Path(p).name for p in emit_plot_data(live, run_dir))
+        report.files.extend(Path(p).name for p in emit_plot_data(live, run_dir, shared))
     failed_certs = [c.kind for c in certs if not c.skipped and not c.verdict]
     gates_ok = not failed_certs
     # the strict variants are diagnostic: budget-tight runs fail them while

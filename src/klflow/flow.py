@@ -29,8 +29,8 @@ from .certificates import (
 )
 from .conditions import ConditionReport
 from .core import (
-    FLOW_POLICIES, INF, Functional, as_point, check_int, check_policy, check_real,
-    fd_gradient, norm, pick_branch, row_norms, write_csv,
+    FLOW_POLICIES, INF, Functional, SharedColumns, as_point, check_int, check_policy,
+    check_real, fd_gradient, norm, pick_branch, row_norms, write_csv,
 )
 from .sampling import unit_directions
 from .slope import descending_slope
@@ -137,19 +137,30 @@ def _probe_direction(
     return best, np.array(pick_branch(tied, c.policy))
 
 
+def _squares(g: Optional[np.ndarray]) -> Tuple[float, float]:
+    """g.g and ``norm(g)`` of a gradient, bit for bit; zeros where there is none."""
+    if g is None:
+        return 0.0, 0.0
+    gg = float(g.dot(g))
+    return gg, math.sqrt(gg)
+
+
 def _step_checks(
     fx: float,
     g: np.ndarray,
+    gn: float,
     fx_new: float,
     g_new: Optional[np.ndarray],
+    gn_new: float,
     dt: float,
 ) -> bool:
+    """Whether a step may be taken: f does not rise, the gradient neither
+    jumps nor reverses, and the drop matches the trapezoidal dissipation.
+    ``gn`` and ``gn_new`` are the norms of ``g`` and ``g_new``."""
     if g_new is None:
         return False
     if fx_new > fx + 1e-12 * (1.0 + abs(fx)):
         return False
-    gn = norm(g)
-    gn_new = norm(g_new)
     ratio = (gn_new + 1e-15) / (gn + 1e-15)
     if max(ratio, 1.0 / ratio) > JUMP_FACTOR:
         return False
@@ -183,35 +194,39 @@ def _event_walk(
     grad: Callable,
     x: np.ndarray,
     fx: float,
+    g: Optional[np.ndarray],
     t: float,
     dt0: float,
     t_end: float,
 ):
     """Advance with halving Euler steps after a rejected step.
 
-    Either escapes (no obstruction inside the window: returns glue=None) or
-    pins the obstruction between two points a gradient-flow step of size
-    ``EVENT_DT_FLOOR`` apart and returns the far side as the glue point.
+    ``g`` is the gradient at x.  Either escapes (no obstruction inside the
+    window: returns glue=None) or pins the obstruction between two points a
+    gradient-flow step of size ``EVENT_DT_FLOOR`` apart and returns the far
+    side as the glue point ``(x, f(x), gradient, t)``.  The walk's end point
+    comes back with its gradient too.
     """
     dt_w = dt0
     advanced = 0.0
-    g = grad(x)
+    gg, gn = _squares(g)
     while True:
-        if g is None or float(g @ g) <= 1e-26:
-            return t, x, fx, None
+        if g is None or gg <= 1e-26:
+            return t, x, fx, g, None
         if t >= t_end - 1e-14 or advanced >= dt0:
-            return t, x, fx, None
+            return t, x, fx, g, None
         dt_w = min(dt_w, t_end - t)
         x_try = x - dt_w * g
         fx_try = f.value(x_try)
         g_try = grad(x_try)
-        if _step_checks(fx, g, fx_try, g_try, dt_w):
+        gg_try, gn_try = _squares(g_try)
+        if _step_checks(fx, g, gn, fx_try, g_try, gn_try, dt_w):
             t += dt_w
             advanced += dt_w
-            x, fx, g = x_try, fx_try, g_try
+            x, fx, g, gg, gn = x_try, fx_try, g_try, gg_try, gn_try
             continue
         if dt_w <= EVENT_DT_FLOOR:
-            return t, x, fx, (x_try, fx_try, t + dt_w)
+            return t, x, fx, g, (x_try, fx_try, g_try, t + dt_w)
         dt_w *= 0.5
 
 
@@ -227,7 +242,8 @@ def integrate_maximal_slope(
     f falls below the absorption threshold; after absorption or at an
     equilibrium the trajectory is extended as an exactly constant tail.
     Value jumps and gradient breaks are located by bisection and glued as new
-    segments.
+    segments.  The gradient is evaluated once per point: the step from it,
+    the step checks and the sample's slope all use that one evaluation.
     """
     c = controls or FlowControls()
     x = as_point(x0)
@@ -236,6 +252,8 @@ def integrate_maximal_slope(
     if not (horizon > 0):
         raise ValueError("time horizon must be positive")
     grad = _gradient_fn(f)
+    # the oracle's gradient is also the slope's; a finite-difference one is not
+    exact = f.smooth_gradient is not None
 
     ts: List[float] = []
     xs: List[np.ndarray] = []
@@ -244,11 +262,11 @@ def integrate_maximal_slope(
     segs: List[int] = []
     boundaries: List[float] = []
 
-    def record(tv: float, pt: np.ndarray, fv: float, sg: int) -> None:
+    def record(tv: float, pt: np.ndarray, fv: float, sg: int, gv: Optional[np.ndarray]) -> None:
         ts.append(tv)
         xs.append(pt.copy())
         fs.append(fv)
-        slopes.append(descending_slope(f, pt, fx=fv).value)
+        slopes.append(descending_slope(f, pt, fx=fv, g=gv if exact else None).value)
         segs.append(sg)
 
     t = 0.0
@@ -256,22 +274,21 @@ def integrate_maximal_slope(
     if not np.isfinite(fx):
         raise ValueError("f(x0) must be finite")
     seg = 0
-    record(t, x, fx, seg)
     absorbed = fx <= F_TOL
+    # from here on g is the gradient at x, with its g.g and norm; a start
+    # that is already absorbed takes no step, so it needs no finite difference
+    g = grad(x) if exact or not absorbed else None
+    gg, gn = _squares(g)
+    record(t, x, fx, seg, g)
     t_star: Optional[float] = 0.0 if absorbed else None
     equilibrium = False
     steps = 0
-    # an accepted step already evaluated the gradient at its end point
-    reuse_g = False
 
     while not absorbed and not equilibrium and t < horizon - 1e-14:
         steps += 1
         if steps > c.max_steps:
             break
-        if not reuse_g:
-            g = grad(x)
-        reuse_g = False
-        if g is None or float(g @ g) <= 1e-26:
+        if g is None or gg <= 1e-26:
             rate, direction = _probe_direction(f, x, fx, c)
             if rate <= EQUILIBRIUM_SLOPE_TOL:
                 equilibrium = True
@@ -279,14 +296,15 @@ def integrate_maximal_slope(
             kick = KINK_KICK * max(1.0, norm(x))
             x = x + kick * direction
             fx = f.value(x)
+            g = grad(x)
+            gg, gn = _squares(g)
             t += kick / rate
-            record(t, x, fx, seg)
+            record(t, x, fx, seg, g)
             continue
-        gn2 = float(g @ g)
         if c.fixed_dt is not None:
             dt = c.fixed_dt
         else:
-            dt = min(DT_MAX, SAFETY * max(fx, F_TOL) / gn2)
+            dt = min(DT_MAX, SAFETY * max(fx, F_TOL) / gg)
         remaining = horizon - t
         # stretch the final step rather than leave a sliver of rounding size
         dt = remaining if remaining - dt < 0.5 * dt else min(dt, remaining)
@@ -295,28 +313,29 @@ def integrate_maximal_slope(
         if x_new is not None:
             fx_new = f.value(x_new)
             g_new = grad(x_new)
-            if _step_checks(fx, g, fx_new, g_new, dt):
+            gg_new, gn_new = _squares(g_new)
+            if _step_checks(fx, g, gn, fx_new, g_new, gn_new, dt):
                 t += dt
-                x, fx, g = x_new, fx_new, g_new
-                record(t, x, fx, seg)
-                accepted = reuse_g = True
+                x, fx, g, gg, gn = x_new, fx_new, g_new, gg_new, gn_new
+                record(t, x, fx, seg, g)
+                accepted = True
         if not accepted:
-            t, x, fx, glue = _event_walk(f, grad, x, fx, t, dt, horizon)
-            record(t, x, fx, seg)
+            t, x, fx, g, glue = _event_walk(f, grad, x, fx, g, t, dt, horizon)
+            record(t, x, fx, seg, g)
             if glue is not None:
-                x_glue, fx_glue, t_glue = glue
+                x, fx, g, t = glue
                 seg += 1
-                boundaries.append(t_glue)
-                t, x, fx = t_glue, x_glue, fx_glue
-                record(t, x, fx, seg)
+                boundaries.append(t)
+                record(t, x, fx, seg, g)
+            gg, gn = _squares(g)
         if fx <= F_TOL:
             absorbed = True
             t_star = t
 
     # constant tail after absorption / equilibrium
     if (absorbed or equilibrium) and t < horizon - 1e-14:
-        record(0.5 * (t + horizon), x, fx, seg)
-        record(horizon, x, fx, seg)
+        record(0.5 * (t + horizon), x, fx, seg, g)
+        record(horizon, x, fx, seg, g)
         t = horizon
 
     ts_arr = np.array(ts)
@@ -660,16 +679,21 @@ def improved_sqrt_distance_bound(
 # CSV export
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write samples as ``t,x_1..x_n,f,slope,speed,segment`` at full precision."""
-    write_csv(
-        path,
-        {
-            "t": traj.ts,
-            **{f"x_{i + 1}": col for i, col in enumerate(traj.xs.T)},
-            "f": traj.fs,
-            "slope": traj.slopes,
-            "speed": traj.speeds,
-            "segment": traj.segments.astype(int),
-        },
-    )
+def trajectory_table(traj: Trajectory) -> dict:
+    """The columns ``t,x_1..x_n,f,slope,speed,segment`` of the samples."""
+    return {
+        "t": traj.ts,
+        **{f"x_{i + 1}": col for i, col in enumerate(traj.xs.T)},
+        "f": traj.fs,
+        "slope": traj.slopes,
+        "speed": traj.speeds,
+        "segment": traj.segments.astype(int),
+    }
+
+
+def trajectory_to_csv(traj: Trajectory, path, shared: Optional[SharedColumns] = None) -> None:
+    """Write the samples' ``trajectory_table`` at full precision.
+
+    ``shared`` holds the columns that other files of the run repeat.
+    """
+    write_csv(path, trajectory_table(traj), shared)

@@ -53,9 +53,9 @@ from .certificates import (
     theta_distance_margin,
 )
 from .core import (
-    EPS, INF, PROX_POLICIES, Functional, as_point, check_int, check_policy, check_real,
-    dense_scan, descend, fd_gradient, float_root, gauss_legendre, golden_section, norm,
-    pick_branch, row_norms, write_csv,
+    EPS, INF, PROX_POLICIES, Functional, SharedColumns, as_point, check_int, check_policy,
+    check_real, dense_scan, descend, fd_gradient, float_root, gauss_legendre, golden_section,
+    norm, pick_branch, row_norms, write_csv,
 )
 from .sampling import ball_sample
 from .slope import descending_slope
@@ -641,7 +641,9 @@ def ioffe_distance_check(
                         cand = min(cand, abs(root - xval))
             dist = min(dist, cand)
         else:
-            strip_slope = min(strip_slope, descending_slope(f, np.array([g])).value)
+            strip_slope = min(
+                strip_slope, descending_slope(f, np.array([g]), fx=float(vals[i])).value
+            )
     return {
         "distance": float(dist),
         "bound": float(bound),
@@ -1000,16 +1002,21 @@ def limit_diagnostics(seq: ProxSequence) -> dict:
     }
 
 
-def sequence_to_csv(seq: ProxSequence, path) -> None:
-    """Write iterates as ``k,x_1..x_n,f,dist_step,slope,de_giorgi_residual``."""
-    write_csv(
-        path,
-        {
-            "k": range(seq.n_iterates),
-            **{f"x_{i + 1}": col for i, col in enumerate(seq.points.T)},
-            "f": seq.fs,
-            "dist_step": seq.dists,
-            "slope": seq.slopes,
-            "de_giorgi_residual": seq.dg_residuals,
-        },
-    )
+def sequence_table(seq: ProxSequence) -> dict:
+    """The columns ``k,x_1..x_n,f,dist_step,slope,de_giorgi_residual`` of the iterates."""
+    return {
+        "k": range(seq.n_iterates),
+        **{f"x_{i + 1}": col for i, col in enumerate(seq.points.T)},
+        "f": seq.fs,
+        "dist_step": seq.dists,
+        "slope": seq.slopes,
+        "de_giorgi_residual": seq.dg_residuals,
+    }
+
+
+def sequence_to_csv(seq: ProxSequence, path, shared: Optional[SharedColumns] = None) -> None:
+    """Write the iterates' ``sequence_table``.
+
+    ``shared`` holds the columns that other files of the run repeat.
+    """
+    write_csv(path, sequence_table(seq), shared)

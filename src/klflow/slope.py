@@ -86,14 +86,18 @@ def _kink_slope(f: Functional, v: float, fv: float) -> Optional[float]:
     return best
 
 
-def descending_slope(f: Functional, x, fx: Optional[float] = None) -> SlopeEstimate:
+def descending_slope(
+    f: Functional, x, fx: Optional[float] = None, g: Optional[np.ndarray] = None
+) -> SlopeEstimate:
     """Descending slope of f at x.
 
     Prefers the functional's exact slope oracle, then the gradient norm,
     then in 1-D the neighbouring floats' gradients (``_kink_slope``), and
     ball sampling where those are missing.  f(x) = +inf returns +inf by the
-    outside-domain convention.  ``fx`` is f(x) when the caller already
-    holds it.
+    outside-domain convention.  ``fx`` is f(x) and ``g`` is
+    ``f.gradient(x)`` when the caller already holds them; ``g`` must come
+    from that oracle, not from finite differences, and None means it is not
+    held, so the oracle is asked.
     """
     x = np.asarray(x, dtype=float)
     if fx is None:
@@ -103,7 +107,8 @@ def descending_slope(f: Functional, x, fx: Optional[float] = None) -> SlopeEstim
     if f.analytic_slope is not None:
         return SlopeEstimate(float(f.analytic_slope(x)), 0.0, 0, "analytic")
     if f.smooth_gradient is not None:
-        g = f.gradient(x)
+        if g is None:
+            g = f.gradient(x)
         if g is not None:
             # in 1-D |g| is the norm, exact also where g * g underflows
             value = abs(float(g[0])) if g.size == 1 else scaled_norm(g)

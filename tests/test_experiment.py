@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 import yaml
 
+import klflow.core
+import klflow.experiment
+import klflow.flow
+import klflow.prox
 from klflow.cli import main as cli_main
+from klflow.core import CSV_BLOCK, SharedColumns, write_csv
 from klflow.experiment import (
     ExperimentConfig,
     emit_plot_data,
@@ -185,6 +190,78 @@ def test_rerun_is_bit_identical(tmp_path, raw):
         rep2 = json.loads((rerun_dir / "report.json").read_text())
         rep2.pop("wall_clock_s")
         assert rep1 == rep2, root
+
+
+def _reference_write_csv(path, columns, shared=None):
+    """The per-row writer that formats every cell of every file anew."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in zip(*cells)]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_shared_columns_write_the_reference_bytes(tmp_path, monkeypatch):
+    n = CSV_BLOCK + 7  # more than one block
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+    t = np.concatenate([special, np.linspace(0.0, 3.0, n - len(special))])
+    f = np.exp(-np.arange(n) / 7.0)
+    f[3] = -0.0
+    signed = t.copy()
+    signed[1] = 0.0  # differs from t in one bit only
+    tables = [
+        {"t": t, "x_1": -f, "f": f, "slope": f.copy(), "segment": np.arange(n) // 1000},
+        {"t": t[:40].copy(), "observed": f[:40].copy(), "bound": f[:40] + 1.0},
+        {"t": t.copy(), "observed": f.copy(), "bound": signed, "margin": signed - f},
+        {"k": [0, 1, 2.5, 3, 4.0, -0.0], "observed": f[:6].copy(), "bound": (f[:40] + 1.0)[:6]},
+        {"t": signed[:40].copy(), "observed": f[:40] + 1.0},
+    ]
+    cells = [0]
+    reprs = klflow.core._reprs
+
+    def counted(col):
+        cells[0] += len(col)
+        return reprs(col)
+
+    monkeypatch.setattr(klflow.core, "_reprs", counted)
+    shared = SharedColumns(tables)
+    for i, table in enumerate(tables):
+        write_csv(tmp_path / f"shared-{i}.csv", table, shared)
+        _reference_write_csv(tmp_path / f"reference-{i}.csv", table)
+        shared_bytes = (tmp_path / f"shared-{i}.csv").read_bytes()
+        assert shared_bytes == (tmp_path / f"reference-{i}.csv").read_bytes(), i
+    # each cell is formatted once: t, x_1, f (which slope reuses), segment,
+    # the signed column and the margin, the second file's bound and the k list
+    assert cells[0] == 6 * n + 40 + 6
+    assert not shared._sources  # no text outlives its last reuse
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"id": "q-budget", "mode": "flow", "functional": "quadratic?lambda=1",
+         "x0": 1.0, "r": 1.5},
+        {"id": "q-all", "mode": "all", "functional": "quadratic?lambda=1", "x0": 1.0,
+         "r": 1.5, "horizon": 3.0, "tau": 0.5, "n_steps": 10,
+         "recursion": {"alpha": 1.0, "delta": 0.5, "f0": 1.0, "k_max": 20}},
+    ],
+    ids=["flow", "all"],
+)
+def test_run_artifacts_are_the_reference_writers_bytes(tmp_path, monkeypatch, raw):
+    cfg = ExperimentConfig.from_dict(raw)
+    report = run_experiment(cfg, output_root=tmp_path / "shared")
+    for module in (klflow.experiment, klflow.flow, klflow.prox):
+        monkeypatch.setattr(module, "write_csv", _reference_write_csv)
+    run_experiment(cfg, output_root=tmp_path / "reference")
+    names = sorted(report.files)
+    assert "trajectory.csv" in names and len(names) > 9
+    for name in names:
+        got, want = (tmp_path / root / raw["id"] / name for root in ("shared", "reference"))
+        if name == "report.json":
+            got, want = (json.loads(p.read_text()) for p in (got, want))
+            got.pop("wall_clock_s"), want.pop("wall_clock_s")
+            assert got == want
+        else:
+            assert got.read_bytes() == want.read_bytes(), name
 
 
 def test_prox_run_artifacts(tmp_path):

@@ -369,8 +369,8 @@ def _counting(f):
 def test_verify_ede_calls_no_oracle():
     f, calls = _counting(resolve_entry("quadratic?lambda=1").functional)
     tr = integrate_maximal_slope(f, np.array([1.0]))
-    # the slope column costs one gradient per sample
-    assert calls["smooth_gradient"] - (4 * tr.diagnostics["steps"] + 1) == tr.n_samples == 1350
+    # one gradient per distinct point: the slope column asks for none
+    assert calls["smooth_gradient"] == 4 * tr.diagnostics["steps"] + 1 == 5389
     calls.update(dict.fromkeys(calls, 0))
     assert verify_ede(tr).n_interior > 0
     assert set(calls.values()) == {0}
@@ -379,9 +379,9 @@ def test_verify_ede_calls_no_oracle():
 def test_one_gradient_per_accepted_point():
     # the first point costs one gradient; each accepted RK4 step then costs
     # three stage gradients plus the one at its end point, which the next
-    # step reuses; the slope column costs one more per sample
+    # step and the slope column reuse, as does the constant tail
     f, calls = _counting(resolve_entry("quadratic?lambda=1").functional)
     tr = integrate_maximal_slope(f, np.array([1.0]))
     steps = tr.diagnostics["steps"]
     assert (steps, tr.n_samples) == (1347, 1350)
-    assert calls["smooth_gradient"] == 4 * steps + 1 + tr.n_samples == 6739
+    assert calls["smooth_gradient"] == 4 * steps + 1 == 5389

@@ -437,6 +437,21 @@ def test_ioffe_check_same_without_batch_oracle(entry_id, x, delta, v):
     assert got == ref
 
 
+def test_ioffe_check_reads_strip_values_from_its_scan():
+    # the slope at a strip point takes f there from the scan, so the scalar
+    # value calls left are f(x) and the crossing's root solve
+    f = resolve_entry("quadratic?lambda=1").functional
+    calls = {"value": 0}
+
+    def value(x):
+        calls["value"] += 1
+        return f.value(x)
+
+    got = ioffe_distance_check(dataclasses.replace(f, value=value), np.array([1.0]), 0.1, 1.0)
+    assert got == ioffe_distance_check(f, np.array([1.0]), 0.1, 1.0)
+    assert calls["value"] == 19
+
+
 def _count_points(f):
     """``f`` with every point its value oracle sees recorded in a list, in
     call order, as ``(coordinates, scalar_call)``."""
