@@ -22,9 +22,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import INF, Functional, norm, row_norms
+from .core import INF, Functional, check_int, check_real, norm, row_norms
 from .sampling import SAMPLER_SEED, ball_sample
-from .slope import FINEST_RADII, descending_slope
+# descending_slope stays bound here for tracers that patch this module
+from .slope import FINEST_RADII, descending_slope, descending_slopes  # noqa: F401
 from .theta import ParameterFunction, make_power_theta
 
 #: absolute/relative guard band for the non-strict budget and threshold tests
@@ -60,20 +61,15 @@ class ConditionReport:
 _NOT_SAMPLED = {"sample_count": 0, "seed": None, "slope_method": None}
 
 
-def _anchor(f: Functional, x0, r: float) -> Tuple[np.ndarray, float]:
-    """x0 as a float array and f(x0), after checking r > 0 and f(x0) finite."""
+def _anchor(f: Functional, x0, r: float, sample_count: int) -> Tuple[np.ndarray, float]:
+    """x0 as a float array and f(x0), after checking r, sample_count and f(x0)."""
     x0 = np.asarray(x0, dtype=float)
-    if not (r > 0.0):
-        raise ValueError("radius must be positive")
+    check_real("r", r)
+    check_int("sample_count", sample_count, least=1)
     f_x0 = f.value(x0)
     if not np.isfinite(f_x0):
         raise ValueError("f(x0) must be finite")
     return x0, f_x0
-
-
-def _ratio(s: float, fy: float) -> float:
-    """The alpha key |df|^2 / f from the slope s and the value fy."""
-    return INF if s == INF else s * s / fy
 
 
 def _compass_search(scored, y0: np.ndarray, v0: float, h: float, floor: float):
@@ -117,25 +113,24 @@ def _scan(
     function is supplied, of the product theta'(f) * |df|; both are refined
     by compass search from the three smallest sampled values.  The alpha
     part does not depend on ``pf``.  ``alpha_sampling`` and ``sampling``
-    say how the alpha part and the whole scan were computed.
+    say how the alpha part and the whole scan were computed.  The sample and
+    each compass level are scored as one batch (``slope.descending_slopes``).
     """
     methods: set = set()
 
     def admissible(pts):
-        """(point, f, slope) at each row of ``pts`` in the admissible set."""
+        """The rows of ``pts`` in the admissible set, their values and slopes."""
         pts = pts[row_norms(pts - x0) < r]
         fys = f.values(pts)
         keep = (0.0 < fys) & (fys <= f_x0)
-        out = []
-        # Python floats: theta' rounds ``**`` differently on numpy floats
-        for y, fy in zip(pts[keep], fys[keep].tolist()):
-            est = descending_slope(f, y, fx=fy)
-            methods.add(est.method)
-            out.append((y, fy, est.value))
-        return out
+        pts, fys = pts[keep], fys[keep]
+        slopes, used = descending_slopes(f, pts, fys)
+        methods.update(used)
+        return pts, fys, slopes
 
     sample = admissible(ball_sample(x0, r, sample_count, seed))
-    out = {"n_admissible": len(sample)}
+    n_sample = len(sample[1])
+    out = {"n_admissible": n_sample}
     h = 4.0 * r * (sample_count ** (-1.0 / x0.size))
     floor = float(FINEST_RADII[-1]) if "ball-sampling" in methods else 0.0
 
@@ -146,22 +141,28 @@ def _scan(
             "slope_method": "+".join(sorted(methods)) or None,
         }
 
-    def refined_min(key):
+    def refined_min(keys):  # keys(slopes, fys) is the list of a batch's keys
         def scored(pts):
-            return [(y, key(s, fy)) for y, fy, s in admissible(pts)]
+            pts, fys, slopes = admissible(pts)
+            return list(zip(pts, keys(slopes, fys)))
 
-        entries = sorted(((key(s, fy), y) for y, fy, s in sample), key=lambda e: e[0])
-        best_val, best_pt = entries[0]
-        for val, y0 in entries[:3]:
-            if val == INF:
+        pts, fys, slopes = sample
+        vals = keys(slopes, fys)
+        # Python's stable sort: np.argsort puts NaN keys (theta' = inf
+        # times a slope of 0) elsewhere
+        starts = sorted(range(n_sample), key=vals.__getitem__)[:3]
+        best_val, best_pt = vals[starts[0]], pts[starts[0]]
+        for i in starts:
+            if vals[i] == INF:
                 continue
-            y_ref, v_ref = _compass_search(scored, y0, val, h, floor)
+            y_ref, v_ref = _compass_search(scored, pts[i], vals[i], h, floor)
             if v_ref < best_val:
                 best_val, best_pt = v_ref, y_ref
         return best_val, best_pt
 
-    if sample:
-        alpha, alpha_witness = refined_min(_ratio)
+    if n_sample:
+        # exact elementwise, and inf where the slope is
+        alpha, alpha_witness = refined_min(lambda slopes, fys: (slopes * slopes / fys).tolist())
         out["alpha"] = max(float(alpha), 0.0)
         out["alpha_witness"] = alpha_witness
     else:
@@ -170,10 +171,12 @@ def _scan(
     out["alpha_sampling"] = sampling()
 
     if pf is not None:
-        if sample:
-            prod, prod_witness = refined_min(
-                lambda s, fy: INF if s == INF else pf.theta_deriv(fy) * s
-            )
+        if n_sample:
+            # Python floats: theta' rounds ``**`` differently on numpy floats
+            prod, prod_witness = refined_min(lambda slopes, fys: [
+                INF if s == INF else pf.theta_deriv(fy) * s
+                for s, fy in zip(slopes.tolist(), fys.tolist())
+            ])
             out["min_product"] = float(prod)
             out["product_witness"] = prod_witness
         else:
@@ -274,7 +277,7 @@ def estimate_alpha(
     Returns +inf when the sampled admissible set is empty.  Requires
     0 < f(x0) < inf.
     """
-    x0, f_x0 = _anchor(f, x0, r)
+    x0, f_x0 = _anchor(f, x0, r, sample_count)
     if not (f_x0 > 0.0):
         raise ValueError("estimate_alpha requires 0 < f(x0) < inf")
     scan = _scan(f, x0, r, f_x0, None, sample_count, seed)
@@ -296,7 +299,7 @@ def check_conditions(
     ``"C-strict"``; each equals what ``check_condition_A`` or
     ``check_condition_C`` returns for the same arguments.
     """
-    x0, f_x0 = _anchor(f, x0, r)
+    x0, f_x0 = _anchor(f, x0, r, sample_count)
     if f_x0 <= EQUILIBRIUM_F_TOL:
         names = {"A": "A", "A-strict": "A_prime", "C": "C", "C-strict": "C_prime"}
         return {k: _equilibrium_report(n, x0, r, f_x0) for k, n in names.items()}
@@ -324,7 +327,7 @@ def check_condition_C(
     ``alpha_override`` substitutes a known exact alpha for the sampled
     estimate.  f(x0) = 0 is reported as trivially holding (equilibrium).
     """
-    x0, f_x0 = _anchor(f, x0, r)
+    x0, f_x0 = _anchor(f, x0, r, sample_count)
     if f_x0 <= EQUILIBRIUM_F_TOL:
         return _equilibrium_report("C_prime" if strict else "C", x0, r, f_x0)
     scan = None

@@ -273,6 +273,15 @@ def row_norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
+def scaled_row_norms(diff: np.ndarray) -> np.ndarray:
+    """``scaled_norm`` of each row: ``row_norms``, redone on the rows whose
+    squares may have underflowed (a norm of at most sqrt(float min) = 2^-511)."""
+    ds = row_norms(diff)
+    for i in (ds <= 2.0**-511).nonzero()[0]:
+        ds[i] = scaled_norm(diff[i])
+    return ds
+
+
 @dataclass(frozen=True)
 class EuclideanBackend:
     """Reference metric backend: R^n with the Euclidean distance."""
@@ -298,7 +307,9 @@ class Functional:
     ``batch_value`` is an optional batched form of ``value``: it maps an
     (m, dim) array of points to their m values and must agree with ``value``
     bit for bit, because the dense scans that use it select candidates by
-    exact comparisons.
+    exact comparisons.  ``batch_gradient`` is ``smooth_gradient`` batched
+    under the same contract, (m, dim) to (m, dim), with a NaN row where
+    ``smooth_gradient`` returns None; the condition scan reads slopes from it.
 
     ``convexity`` is an optional convexity modulus lambda: f(z) - lambda/2
     |z|^2 is convex.  Set it only where a closed form proves it.  When
@@ -313,6 +324,7 @@ class Functional:
     smooth_gradient: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
     batch_value: Optional[Callable[[np.ndarray], np.ndarray]] = None
     convexity: Optional[float] = None
+    batch_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     EPS, EuclideanBackend, Functional, as_point, dense_scan, golden_section, norm,
-    pick_branch, row_norms, scaled_norm,
+    pick_branch, row_norms, scaled_norm, scaled_row_norms,
 )
 from .theta import ParameterFunction, make_power_theta
 
@@ -80,6 +80,9 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
     def gradient(x):
         return lam * (x - c)
 
+    def batch_gradient(xs):
+        return lam * (xs - c)
+
     def trajectory(x0, policy="positive-branch"):
         x0 = as_point(x0)
 
@@ -108,6 +111,7 @@ def make_quadratic(lam: float = 1.0, center=(0.0,)) -> CorpusEntry:
             backend=backend,
             smooth_gradient=gradient,
             convexity=lam,
+            batch_gradient=batch_gradient,
         ),
         provenance=f"quadratic lam={lam} center={c.tolist()}",
         analytic_trajectory=trajectory,
@@ -137,6 +141,10 @@ def make_double_well(lam: float = 1.0, a: float = 1.0) -> CorpusEntry:
         if v == 0.0:
             return None
         return np.array([lam * (v - a) if v > 0 else lam * (v + a)])
+
+    def batch_gradient(xs):
+        v = xs[:, 0]
+        return np.where(v == 0.0, np.nan, np.where(v > 0, lam * (v - a), lam * (v + a)))[:, None]
 
     def trajectory(x0, policy="positive-branch"):
         v0 = float(as_point(x0)[0])
@@ -175,6 +183,7 @@ def make_double_well(lam: float = 1.0, a: float = 1.0) -> CorpusEntry:
             batch_value=batch_value,
             backend=backend,
             smooth_gradient=gradient,
+            batch_gradient=batch_gradient,
         ),
         provenance=f"double-well lam={lam} a={a}",
         analytic_trajectory=trajectory,
@@ -213,6 +222,10 @@ def make_truncated_parabola(x_ref: float = 1.0) -> CorpusEntry:
         if v < 0:
             return np.array([0.0])
         return None
+
+    def batch_gradient(xs):
+        v = xs[:, 0]
+        return np.where(v > 0, 2.0 * v, np.where(v < 0, 0.0, np.nan))[:, None]
 
     def trajectory(x0, policy="positive-branch"):
         v0 = float(as_point(x0)[0])
@@ -259,6 +272,7 @@ def make_truncated_parabola(x_ref: float = 1.0) -> CorpusEntry:
             batch_value=batch_value,
             backend=backend,
             smooth_gradient=gradient,
+            batch_gradient=batch_gradient,
         ),
         provenance=f"truncated-parabola x_ref={x_ref}",
         analytic_trajectory=trajectory,
@@ -304,6 +318,10 @@ def make_staircase(m: float = 1.0, eps: float = 0.1) -> CorpusEntry:
             return None
         return np.array([m])
 
+    def batch_gradient(xs):
+        v = xs[:, 0]
+        return np.where(v < 0, 0.0, np.where((v == 0.0) | (v == 1.0), np.nan, m))[:, None]
+
     def trajectory(x0, policy="positive-branch"):
         v0 = float(as_point(x0)[0])
 
@@ -326,6 +344,7 @@ def make_staircase(m: float = 1.0, eps: float = 0.1) -> CorpusEntry:
             batch_value=batch_value,
             backend=backend,
             smooth_gradient=gradient,
+            batch_gradient=batch_gradient,
         ),
         provenance=f"staircase m={m} eps={eps}",
         analytic_trajectory=trajectory,
@@ -377,6 +396,14 @@ def make_asymmetric_double_well(
             return None
         return np.array([lam * (v - a)])
 
+    def batch_gradient(xs):
+        v = xs[:, 0]
+        g = np.where(v < 0.0, lam * (v + a), np.nan)
+        w = v[v > 0.0]
+        right = 0.5 * lam * _float_pow(w - a, 2)
+        g[v > 0.0] = np.where(right < eps, 0.0, np.where(right == eps, np.nan, lam * (w - a)))
+        return g[:, None]
+
     def known_alpha(x0, r):
         v0 = float(as_point(x0)[0])
         f_x0 = value(np.array([v0]))
@@ -393,6 +420,7 @@ def make_asymmetric_double_well(
             batch_value=batch_value,
             backend=backend,
             smooth_gradient=gradient,
+            batch_gradient=batch_gradient,
         ),
         provenance=f"asymmetric-double-well lam={lam} a={a} eps={eps}",
         known_alpha=known_alpha,
@@ -419,13 +447,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
         return scale * scaled_norm(x - c) ** p
 
     def batch_value(xs):
-        diffs = xs - c
-        ds = row_norms(diffs)
-        # row_norms rounds as scaled_norm does; a row whose squares
-        # underflowed has a norm of at most sqrt(float min) = 2^-511
-        for i in np.flatnonzero(ds <= 2.0**-511):
-            ds[i] = scaled_norm(diffs[i])
-        return scale * _float_pow(ds, p)
+        return scale * _float_pow(scaled_row_norms(xs - c), p)
 
     def gradient(x):
         u = x - c
@@ -439,6 +461,16 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
             v = u / np.abs(u).max()
             return scale * p * d ** (p - 1.0) * (v / norm(v))
         return scale * p * d ** (p - 2.0) * u
+
+    def batch_gradient(xs):
+        diffs = xs - c
+        ds = row_norms(diffs)
+        small = ds <= 2.0**-511  # as in scaled_row_norms; 1.0 keeps 0 ** (p - 2) out
+        out = (scale * p * _float_pow(np.where(small, 1.0, ds), p - 2.0))[:, None] * diffs
+        for i in np.flatnonzero(small):
+            g = gradient(xs[i])
+            out[i] = np.nan if g is None else g
+        return out
 
     def radial_resolvent(d: float, tau: float) -> float:
         # solve rho + tau * scale * p * rho^(p-1) = d on [0, d]
@@ -500,6 +532,7 @@ def make_power_potential(p: float = 2.0, scale: float = 1.0, center=0.0) -> Corp
             # d^p is convex for p >= 1; at p = 2 it is the quadratic
             # scale * d^2, whose modulus is 2 scale
             convexity=2.0 * scale if p == 2.0 else 0.0,
+            batch_gradient=batch_gradient,
         ),
         provenance=f"power-potential p={p} scale={scale} center={c.tolist()}",
         analytic_trajectory=trajectory,
@@ -544,18 +577,28 @@ def make_sharpness(
         out[ramp] = [pf.theta_inverse(u) for u in (v[ramp] + eps).tolist()]
         return out
 
+    def ramp_gradient(v: float) -> float:
+        u = pf.theta_inverse(v + eps)
+        if u == 0.0:
+            # theta^{-1} underflowed: the limit of 1/theta' at 0 is 0 for
+            # gamma < 1 and 1/c for gamma = 1
+            return 1.0 / pf.c if pf.gamma == 1.0 else 0.0
+        return 1.0 / pf.theta_deriv(u)
+
     def gradient(x):
         v = float(x[0])
         if v == 0.0 or v == big_m:
             return None
         if v < 0 or v > big_m:
             return np.array([0.0])
-        u = pf.theta_inverse(v + eps)
-        if u == 0.0:
-            # theta^{-1} underflowed: the limit of 1/theta' at 0 is 0 for
-            # gamma < 1 and 1/c for gamma = 1
-            return np.array([1.0 / pf.c if pf.gamma == 1.0 else 0.0])
-        return np.array([1.0 / pf.theta_deriv(u)])
+        return np.array([ramp_gradient(v)])
+
+    def batch_gradient(xs):
+        v = xs[:, 0]
+        out = np.where((v == 0.0) | (v == big_m), np.nan, 0.0)
+        ramp = (v > 0) & (v < big_m)
+        out[ramp] = [ramp_gradient(w) for w in v[ramp].tolist()]
+        return out[:, None]
 
     def condition_data(x0):
         fv = value(as_point(x0))
@@ -568,6 +611,7 @@ def make_sharpness(
             batch_value=batch_value,
             backend=backend,
             smooth_gradient=gradient,
+            batch_gradient=batch_gradient,
         ),
         provenance=f"sharpness c={c} gamma={gamma} M={big_m} eps={eps}",
         condition_data=condition_data,

@@ -153,6 +153,8 @@ class ExperimentConfig:
             )
         _theta_for(self, entry, x0)
         _radius_for(self, entry, x0)
+        for rr in self.radii or ():
+            check_real("radii entries", rr)
         if self.mode == "prox" and self.tau is None:
             raise ValueError(f"run {self.run_id!r}: prox mode needs tau")
 
@@ -328,7 +330,7 @@ def _theta_for(config: ExperimentConfig, entry: CorpusEntry, x0: np.ndarray):
 
 def _radius_for(config: ExperimentConfig, entry: CorpusEntry, x0: np.ndarray) -> float:
     if config.r is not None:
-        return float(config.r)
+        return check_real("r", config.r)
     if entry.condition_data is not None:
         return float(entry.condition_data(x0)[1])
     raise ValueError(f"run {config.run_id!r}: no radius given")

@@ -58,7 +58,7 @@ from .core import (
     norm, pick_branch, row_norms, write_csv,
 )
 from .sampling import ball_sample
-from .slope import descending_slope
+from .slope import descending_slope, descending_slopes
 from .theta import ParameterFunction
 
 
@@ -623,27 +623,22 @@ def ioffe_distance_check(
     below = vals <= delta
     strip = (delta < vals) & (vals <= fx) & (np.abs(grid - xval) <= bound + IOFFE_TOL)
     dist = INF
-    strip_slope = INF
-    for i in np.flatnonzero(below | strip):
+    strip_slope = descending_slopes(f, grid[strip, None], vals[strip])[0].min(initial=INF)
+    for i in np.flatnonzero(below):
         g = grid[i]
-        if below[i]:
-            cand = abs(g - xval)
-            # sharpen across the crossing cell when a neighbour is above level
-            for jn in (i - 1, i + 1):
-                if 0 <= jn < IOFFE_GRID and not below[jn]:
-                    # f - delta, signed to be negative at the end below level
-                    side = 1.0 if jn > i else -1.0
-                    root = float_root(
-                        lambda z: side * (f.value(np.array([z])) - delta),
-                        float(min(g, grid[jn])), float(max(g, grid[jn])),
-                    )
-                    if root is not None:
-                        cand = min(cand, abs(root - xval))
-            dist = min(dist, cand)
-        else:
-            strip_slope = min(
-                strip_slope, descending_slope(f, np.array([g]), fx=float(vals[i])).value
-            )
+        cand = abs(g - xval)
+        # sharpen across the crossing cell when a neighbour is above level
+        for jn in (i - 1, i + 1):
+            if 0 <= jn < IOFFE_GRID and not below[jn]:
+                # f - delta, signed to be negative at the end below level
+                side = 1.0 if jn > i else -1.0
+                root = float_root(
+                    lambda z: side * (f.value(np.array([z])) - delta),
+                    float(min(g, grid[jn])), float(max(g, grid[jn])),
+                )
+                if root is not None:
+                    cand = min(cand, abs(root - xval))
+        dist = min(dist, cand)
     return {
         "distance": float(dist),
         "bound": float(bound),

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import EPS, INF, Functional, scaled_norm
+from .core import EPS, INF, Functional, scaled_norm, scaled_row_norms
 from .sampling import SAMPLER_SEED, unit_directions
 
 #: the two finest radii of the shrinking schedule, the limsup surrogate
@@ -34,6 +34,9 @@ FINEST_RADII = np.array([1e-4, 1e-5])
 
 #: directions sampled per radius in dimension >= 2 (1-D always uses +/-1)
 DEFAULT_DIRECTIONS = 64
+
+#: ball-sampling probes per ``f.values`` call when many points are sampled
+PROBE_BLOCK = 8192
 
 
 class SlopeEstimate(NamedTuple):
@@ -57,12 +60,26 @@ def sampled_slope(f: Functional, x, fx: Optional[float] = None) -> SlopeEstimate
         fx = f.value(x)
     if fx == INF:
         return SlopeEstimate(INF, 0.0, 0, "ball-sampling")
-    dirs = unit_directions(x.size, DEFAULT_DIRECTIONS, SAMPLER_SEED)
-    probes = (x + FINEST_RADII[:, None, None] * dirs).reshape(-1, x.size)
-    fy = f.values(probes).reshape(len(FINEST_RADII), len(dirs))
-    quotients = np.where(fy < fx, (fx - fy) / FINEST_RADII[:, None], 0.0)
-    value = float(quotients.max(initial=0.0))
-    return SlopeEstimate(value, float(FINEST_RADII[-1]), len(probes), "ball-sampling")
+    value = float(_sampled_values(f, x[None, :], np.array([fx]))[0])
+    samples = len(FINEST_RADII) * len(unit_directions(x.size, DEFAULT_DIRECTIONS, SAMPLER_SEED))
+    return SlopeEstimate(value, float(FINEST_RADII[-1]), samples, "ball-sampling")
+
+
+def _sampled_values(f: Functional, pts: np.ndarray, fxs: np.ndarray) -> np.ndarray:
+    """The ``sampled_slope`` value at each row of ``pts`` (values ``fxs``); the
+    probes go through ``f.values`` in blocks of at most ``PROBE_BLOCK`` (or one row's)."""
+    dim = pts.shape[1]
+    dirs = unit_directions(dim, DEFAULT_DIRECTIONS, SAMPLER_SEED)
+    steps = (FINEST_RADII[:, None, None] * dirs).reshape(-1, dim)
+    rows = max(1, PROBE_BLOCK // len(steps))
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), rows):
+        x, fx = pts[lo:lo + rows], fxs[lo:lo + rows, None, None]
+        fy = f.values((x[:, None, :] + steps).reshape(-1, dim))
+        fy = fy.reshape(len(x), len(FINEST_RADII), len(dirs))
+        quotients = np.where(fy < fx, (fx - fy) / FINEST_RADII[:, None], 0.0)
+        out[lo:lo + rows] = quotients.max(axis=(1, 2), initial=0.0)
+    return out
 
 
 def _kink_slope(f: Functional, v: float, fv: float) -> Optional[float]:
@@ -118,3 +135,29 @@ def descending_slope(
             if value is not None:
                 return SlopeEstimate(value, 0.0, 0, "gradient-norm")
     return sampled_slope(f, x, fx=fx)
+
+
+def descending_slopes(f: Functional, pts: np.ndarray, fxs: np.ndarray):
+    """``descending_slope`` at each row of ``pts`` (values ``fxs``), batched: the
+    slopes and the set of methods, bit for bit as the per-point calls give them.
+    Rows without a gradient, with f = +inf, an ``analytic_slope`` or a scalar
+    gradient alone take ``descending_slope`` one by one."""
+    values, redo = np.empty(len(fxs)), fxs == INF
+    if f.analytic_slope is None and f.smooth_gradient is None:
+        values[~redo] = _sampled_values(f, pts[~redo], fxs[~redo])
+    elif f.analytic_slope is None and f.batch_gradient is not None and len(fxs):
+        g = np.asarray(f.batch_gradient(pts), dtype=float)
+        # |g| in 1-D, exact also where g * g underflows; no gradient: NaN
+        values = np.abs(g[:, 0]) if g.shape[1] == 1 else scaled_row_norms(g)
+        redo |= np.isnan(values)
+    else:
+        redo[:] = True
+    rest = np.flatnonzero(redo)
+    methods = set()
+    if len(rest) < len(fxs):
+        methods.add("ball-sampling" if f.smooth_gradient is None else "gradient-norm")
+    for i in rest:
+        est = descending_slope(f, pts[i], fx=float(fxs[i]))
+        values[i] = est.value
+        methods.add(est.method)
+    return values, methods

@@ -276,3 +276,61 @@ def test_scans_with_exact_slopes_refine_to_the_step_tolerance():
         assert rep.alpha_estimate == 1.9999999999999991, name
         assert rep.worst_witness[0].tolist() == point and rep.worst_witness[1] == gap, name
     assert reps["A"].details["min_product"] == 0.9999999999999997
+
+
+def test_a_scan_reads_every_gradient_from_the_batched_oracle():
+    # the per-point scan made 1,175 smooth_gradient calls here
+    f = resolve_entry("quadratic?lambda=1").functional
+    calls = {"scalar": 0, "batched": 0}
+
+    def gradient(x):
+        calls["scalar"] += 1
+        return f.smooth_gradient(x)
+
+    def batch_gradient(xs):
+        calls["batched"] += 1
+        return f.batch_gradient(xs)
+
+    counted = dataclasses.replace(f, smooth_gradient=gradient, batch_gradient=batch_gradient)
+    reps = check_conditions(counted, make_power_theta(math.sqrt(0.5), 0.5), [1.0], 1.5)
+    assert all(rep.holds for rep in reps.values())
+    assert calls == {"scalar": 0, "batched": 79}
+
+
+def test_an_oracle_free_scan_keeps_its_value_calls():
+    f = resolve_entry("quadratic?lambda=1").functional
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return f.value(x)
+
+    counted = Functional(label="counted quadratic", value=value, backend=f.backend)
+    estimate_alpha(counted, [1.0], 0.5)
+    assert len(calls) == 6415
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, 0.0, -1.0, True])
+def test_checks_reject_a_radius_that_is_not_positive_and_finite(r):
+    # r = inf sampled only non-finite points, so nothing was admissible and A "held"
+    f = resolve_entry("truncated-parabola").functional
+    pf = make_power_theta(0.5, 0.5)
+    for check in (lambda: check_condition_A(f, pf, [1.0], r),
+                  lambda: check_condition_C(f, [1.0], r),
+                  lambda: check_conditions(f, pf, [1.0], r),
+                  lambda: estimate_alpha(f, [1.0], r)):
+        with pytest.raises(ValueError, match="r must be a positive finite number"):
+            check()
+
+
+@pytest.mark.parametrize("count", [-1, 0, 2.0, True, "64"])
+def test_checks_reject_a_sample_count_that_is_not_a_positive_integer(count):
+    # -1 sampled nothing and "held"; 0 raised ZeroDivisionError
+    f = resolve_entry("quadratic?lambda=1").functional
+    pf = make_power_theta(math.sqrt(0.5), 0.5)
+    for check in (lambda: check_condition_A(f, pf, [1.0], 1.5, sample_count=count),
+                  lambda: check_condition_C(f, [1.0], 1.5, sample_count=count),
+                  lambda: check_conditions(f, pf, [1.0], 1.5, sample_count=count),
+                  lambda: estimate_alpha(f, [1.0], 1.5, sample_count=count)):
+        with pytest.raises(ValueError, match="sample_count must be a positive integer"):
+            check()

@@ -418,3 +418,44 @@ def test_power_potential_closed_form_is_within_8_ulps(p):
     # the bisection ends where its ends are adjacent, also among the subnormals
     ((z,),) = resolve(np.array([1e-300]), 1.0)
     assert 0.0 <= z <= 1e-300
+
+
+def _assert_batch_gradient_is_scalar(f, pts):
+    """``batch_gradient`` is ``smooth_gradient`` at every row, bit for bit,
+    with a NaN row exactly where the scalar oracle returns None."""
+    got = f.batch_gradient(pts)
+    assert got.shape == pts.shape
+    ref = [f.gradient(p) for p in pts]
+    none = np.array([g is None for g in ref])
+    assert np.isnan(got[none]).all()
+    assert _bits(got[~none]) == _bits([g for g in ref if g is not None])
+
+
+@pytest.mark.parametrize("entry_id", BATCH_IDS)
+def test_batch_gradient_matches_smooth_gradient_bit_for_bit(entry_id):
+    e = resolve_entry(entry_id)
+    rng = np.random.default_rng(31)
+    xs = rng.uniform(*e.sample_box, size=20000).tolist()
+    for q in e.nonsmooth_points:
+        xs += [math.nextafter(q, -math.inf), q, math.nextafter(q, math.inf)]
+    xs += [5e-324, -5e-324, 1e-200, 0.0, -0.0]
+    _assert_batch_gradient_is_scalar(e.functional, np.array(xs)[:, None])
+
+
+@pytest.mark.parametrize(
+    "entry_id, extra",
+    [
+        ("quadratic?lambda=3&center=1,2", [[1.0, 2.0]]),
+        ("quadratic?center=0.5,-1,2", [[1e-160, 3e-160, 0.0]]),
+        ("power-potential?p=1&center=0,0", [[0.0, 0.0], [5e-324, 0.0], [1e-200, -1e-200]]),
+        ("power-potential?p=1.5&center=1,2", [[1.0, 2.0]]),
+        ("power-potential?p=4&center=0,0", [[1e-60, -1e-60], [0.0, 0.0]]),
+        ("power-potential?p=4&scale=2&center=0.5,-1,2", [[0.5, -1.0, 2.0]]),
+    ],
+)
+def test_batch_gradient_matches_smooth_gradient_in_several_dimensions(entry_id, extra):
+    f = resolve_entry(entry_id).functional
+    dim = f.backend.dimension
+    rng = np.random.default_rng(32)
+    pts = np.vstack([rng.normal(scale=2.0, size=(3000, dim)), extra])
+    _assert_batch_gradient_is_scalar(f, pts)

@@ -476,6 +476,26 @@ def test_bad_control_values_exit_2(tmp_path, capsys, base, key, controls, messag
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # r = inf used to print PASS: no sample was finite, so none was admissible
+        ("r: .inf\n", "r must be a positive finite number, got inf"),
+        ("r: true\n", "r must be a positive finite number, got True"),
+        ("r: -1.0\n", "got -1.0"),
+        # a sweep row at r = inf read A_holds true and alpha_estimate inf
+        ("radii: [0.5, .inf]\n", "radii entries must be a positive finite number, got inf"),
+        ("radii: [0.0]\n", "got 0.0"),
+    ],
+)
+def test_bad_radii_exit_2(tmp_path, capsys, extra, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("id: trunc\nmode: condition\nfunctional: truncated-parabola\nx0: 1.0\n" + extra)
+    assert cli_main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_prox_schedule_longer_than_max_steps_exits_2(tmp_path, capsys):
     cfg = tmp_path / "long.yaml"
     cfg.write_text(

@@ -14,6 +14,7 @@ from klflow import (
     sampled_slope,
 )
 from klflow.core import INF
+from klflow.slope import PROBE_BLOCK, descending_slopes
 from klflow.sampling import SAMPLER_SEED, unit_directions
 from klflow.theta import make_power_theta
 
@@ -295,3 +296,98 @@ def test_gradient_norm_keeps_its_magnitude_where_squares_underflow(cid, point):
     est = descending_slope(resolve_entry(cid).functional, x)
     assert est.value > 0.0
     assert _ulps(est.value, reference_slope(cid, x)) <= 4
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_slopes_are_per_point(f, pts):
+    """``descending_slopes`` equals the per-point calls in values and methods."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, f.backend.dimension)
+    fxs = np.array([f.value(p) for p in pts], dtype=float)
+    values, methods = descending_slopes(f, pts, fxs)
+    ests = [descending_slope(f, p, fx=fx) for p, fx in zip(pts, fxs.tolist())]
+    assert _bits(values) == _bits([e.value for e in ests])
+    assert methods == {e.method for e in ests}
+    return methods
+
+
+def _counted(f, batched=True, gradient=False):
+    """f's value oracles (and its scalar gradient), counting batched calls."""
+    rows = []
+
+    def batch_value(xs):
+        rows.append(len(xs))
+        return f.batch_value(xs)
+
+    counted = Functional(
+        label=f"counted {f.label}", value=f.value, backend=f.backend,
+        batch_value=batch_value if batched else None,
+        smooth_gradient=f.smooth_gradient if gradient else None,
+    )
+    return counted, rows
+
+
+@pytest.mark.parametrize("cid", CORPUS_IDS + ("quadratic?lambda=1&center=0,0",
+                                              "power-potential?p=1&center=0,0,0"))
+def test_descending_slopes_is_the_per_point_loop_with_kink_rows(cid):
+    e = resolve_entry(cid)
+    dim = e.functional.backend.dimension
+    rng = np.random.default_rng(2813)
+    pts = rng.uniform(*e.sample_box, size=(300, dim))
+    kinks = [[v] * dim for q in e.nonsmooth_points
+             for v in (math.nextafter(q, -INF), q, math.nextafter(q, INF))]
+    centre = [[0.0] * dim] if dim > 1 else []
+    methods = _assert_slopes_are_per_point(e.functional, np.vstack([pts, *kinks, *centre]))
+    assert "gradient-norm" in methods
+
+
+def test_descending_slopes_of_an_all_kink_batch_report_only_the_fallback():
+    cone = resolve_entry("power-potential?p=1&center=0,0").functional
+    assert _assert_slopes_are_per_point(cone, [[0.0, 0.0], [0.0, 0.0]]) == {"ball-sampling"}
+    # a 1-D kink reads its neighbours' gradients, which is a gradient norm
+    stairs = resolve_entry("staircase?m=2&eps=0.1").functional
+    assert _assert_slopes_are_per_point(stairs, [[0.0], [1.0]]) == {"gradient-norm"}
+
+
+def test_descending_slopes_of_an_empty_batch():
+    f = resolve_entry("quadratic?lambda=1").functional
+    values, methods = descending_slopes(f, np.empty((0, 1)), np.empty(0))
+    assert values.shape == (0,) and methods == set()
+    assert _assert_slopes_are_per_point(_oracle_free("quadratic?lambda=1"), []) == set()
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("cid, pts", [
+    ("truncated-parabola", [[-0.5], [0.0], [0.3], [1.0], [2.5]]),
+    ("quadratic?lambda=1&center=0,0", [[1.0, 0.5], [0.0, 0.0], [-0.3, 2.0]]),
+])
+def test_descending_slopes_without_oracles_is_the_per_point_loop(cid, pts, batched):
+    f, _ = _counted(resolve_entry(cid).functional, batched=batched)
+    assert _assert_slopes_are_per_point(f, pts) == {"ball-sampling"}
+
+
+def test_descending_slopes_outside_the_domain_and_with_oracles_of_their_own():
+    # f = +inf rows keep the outside-domain convention, sampled or not
+    assert _assert_slopes_are_per_point(BOXED, [[0.5], [1.5], [-0.2]]) == {
+        "analytic", "ball-sampling"}
+    q = resolve_entry("quadratic?lambda=1&center=0,0").functional
+    scalar_only, _ = _counted(q, gradient=True)
+    assert _assert_slopes_are_per_point(scalar_only, [[1.0, 0.5], [0.0, 0.0]]) == {
+        "gradient-norm"}
+    exact = Functional(label="exact", value=q.value, backend=q.backend,
+                       analytic_slope=lambda x: float(np.hypot(*x)),
+                       smooth_gradient=q.smooth_gradient, batch_gradient=q.batch_gradient)
+    assert _assert_slopes_are_per_point(exact, [[1.0, 0.5], [0.3, 0.0]]) == {"analytic"}
+
+
+def test_descending_slopes_sample_in_blocks_of_probes():
+    f, rows = _counted(resolve_entry("quadratic?lambda=1&center=0,0").functional)
+    per_point = 2 * len(unit_directions(2, 64, SAMPLER_SEED))
+    n = 2 * (PROBE_BLOCK // per_point) + 5  # two full blocks and a part
+    pts = np.random.default_rng(2814).uniform(-2.0, 2.0, size=(n, 2))
+    _assert_slopes_are_per_point(f, pts)
+    blocked = rows[:3]  # the batched call; the rest are the per-point ones
+    assert blocked == [PROBE_BLOCK // per_point * per_point] * 2 + [5 * per_point]
+    assert max(rows) <= PROBE_BLOCK
