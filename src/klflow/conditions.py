@@ -10,9 +10,10 @@ set; its quantitative cousin asks alpha(x0, r) >= 4 f(x0) / r^2 where alpha
 is the infimum of |df|^2 / f.  The strict variants sharpen the respective
 inequality.  Verification is by deterministic low-discrepancy sampling plus
 compass-search refinement around the worst observed points, so a "holds"
-verdict is a sampled certificate, not a proof.  When the slopes come from ball
-sampling the refinement ends at the sampled slope's finest radius, below which
-its keys differ only by sampling noise.
+verdict is a sampled certificate, not a proof.  One scan serves both keys
+and scores each compass level of all its searches as one batch.
+When the slopes come from ball sampling the refinement ends at the sampled
+slope's finest radius, below which its keys differ only by sampling noise.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 from .core import INF, Functional, check_int, check_real, norm, row_norms
 from .sampling import SAMPLER_SEED, ball_sample
 # descending_slope stays bound here for tracers that patch this module
-from .slope import FINEST_RADII, descending_slope, descending_slopes  # noqa: F401
+from .slope import FINEST_RADII, descending_slope, row_descending_slopes  # noqa: F401
 from .theta import ParameterFunction, make_power_theta
 
 #: absolute/relative guard band for the non-strict budget and threshold tests
@@ -72,30 +73,40 @@ def _anchor(f: Functional, x0, r: float, sample_count: int) -> Tuple[np.ndarray,
     return x0, f_x0
 
 
-def _compass_search(scored, y0: np.ndarray, v0: float, h: float, floor: float):
-    """Compass search for a smaller key from the sampled point y0 (key v0).
+def _compass_searches(scored, starts, h: float, floor: float):
+    """Compass searches for smaller keys from the sampled (point, key) ``starts``.
 
-    Each level probes y +- step * e_i along every axis; ``scored`` maps the
-    probe batch to (point, key) pairs for its admissible rows.  The search
-    moves to the best probe that strictly lowers the key, and otherwise
-    shrinks the step by 4, until the step is at most
-    ``max(REFINE_STEP_TOL * max(1, |y|), floor)``.  ``floor`` is 0, or the
-    sampled slope's finest radius when the keys come from ball sampling:
-    below it two probes' keys differ only by sampling noise.  The search
-    terminates: at a fixed step the moves visit distinct lattice points inside
-    the ball, and each move strictly lowers the key, so each level ends and
-    the step shrinks.  Returns the final point and its key.
+    Each search probes y +- step * e_i along every axis, moves to its best
+    probe (the first smallest key, as ``min`` picks it) when that strictly
+    lowers its key, and otherwise divides its step (first ``h``) by 4, until
+    the step is at most ``max(REFINE_STEP_TOL * max(1, |y|), floor)``.
+    ``floor`` is 0, or the sampled slope's finest radius when the keys come
+    from ball sampling: below it two probes' keys differ only by sampling
+    noise.  In lockstep, ``scored(probes, owners)`` scores each level's probes
+    of all live searches in one batch (``owners[j]``: the search of row j)
+    and returns the admissible rows' indices, points and keys.  Each search
+    ends: at a fixed step its moves visit distinct lattice points in the
+    ball, each strictly lowering its key.  Returns each final (point, key).
     """
-    axes = np.vstack([np.eye(y0.size), -np.eye(y0.size)])
-    y, v, step = y0, v0, h
-    while step > max(REFINE_STEP_TOL * max(1.0, norm(y)), floor):
-        probes = scored(y + step * axes)
-        best = min(probes, key=lambda p: p[1], default=None)
-        if best is not None and best[1] < v:
-            y, v = best
-        else:
-            step /= 4.0
-    return y, v
+    dim = starts[0][0].size if starts else 0
+    axes = np.vstack([np.eye(dim), -np.eye(dim)])
+    found, steps = list(starts), [h] * len(starts)
+    while True:
+        live = [s for s, (y, _) in enumerate(found)
+                if steps[s] > max(REFINE_STEP_TOL * max(1.0, norm(y)), floor)]
+        if not live:
+            return found
+        owners = np.repeat(live, len(axes))
+        rows, pts, keys = scored(np.vstack([found[s][0] + steps[s] * axes for s in live]), owners)
+        best = {}
+        for s, pt, v in zip(owners[rows].tolist(), pts, keys):
+            if s not in best or v < best[s][1]:
+                best[s] = (pt, v)
+        for s in live:
+            if s in best and best[s][1] < found[s][1]:
+                found[s] = best[s]
+            else:
+                steps[s] /= 4.0
 
 
 def _scan(
@@ -109,80 +120,69 @@ def _scan(
 ) -> dict:
     """One deterministic pass over the admissible set.
 
-    Collects the infimum of the ratio |df|^2/f (alpha) and, when a parameter
-    function is supplied, of the product theta'(f) * |df|; both are refined
-    by compass search from the three smallest sampled values.  The alpha
-    part does not depend on ``pf``.  ``alpha_sampling`` and ``sampling``
-    say how the alpha part and the whole scan were computed.  The sample and
-    each compass level are scored as one batch (``slope.descending_slopes``).
+    Collects the infimum of |df|^2/f (alpha) and, when a parameter function
+    is supplied, of theta'(f) * |df|: each the first smallest of its sampled
+    minimum and its compass searches from its three smallest sampled values.
+    The alpha part does not depend on ``pf``.  ``alpha_sampling`` and
+    ``sampling`` say how the alpha part and the whole scan were computed (the
+    slope methods of the sample and the alpha searches, and of every row).
+    The sample is one batch, and so is each compass level of all the
+    searches: one ``f.values`` and one ``slope.row_descending_slopes`` call.
     """
-    methods: set = set()
 
     def admissible(pts):
-        """The rows of ``pts`` in the admissible set, their values and slopes."""
-        pts = pts[row_norms(pts - x0) < r]
-        fys = f.values(pts)
+        """Indices of the rows of ``pts`` in the admissible set; values, slopes, methods."""
+        rows = np.flatnonzero(row_norms(pts - x0) < r)
+        fys = f.values(pts[rows])
         keep = (0.0 < fys) & (fys <= f_x0)
-        pts, fys = pts[keep], fys[keep]
-        slopes, used = descending_slopes(f, pts, fys)
-        methods.update(used)
-        return pts, fys, slopes
+        rows, fys = rows[keep], fys[keep]
+        return (rows, fys, *row_descending_slopes(f, pts[rows], fys))
 
-    sample = admissible(ball_sample(x0, r, sample_count, seed))
-    n_sample = len(sample[1])
-    out = {"n_admissible": n_sample}
-    h = 4.0 * r * (sample_count ** (-1.0 / x0.size))
-    floor = float(FINEST_RADII[-1]) if "ball-sampling" in methods else 0.0
+    def alpha_keys(slopes, fys):  # exact elementwise, and inf where the slope is
+        return (slopes * slopes / fys).tolist()
 
-    def sampling() -> dict:
-        return {
-            "sample_count": sample_count,
-            "seed": seed,
-            "slope_method": "+".join(sorted(methods)) or None,
-        }
+    def product_keys(slopes, fys):  # Python floats: theta' rounds ``**`` otherwise on numpy ones
+        return [INF if s == INF else pf.theta_deriv(fy) * s
+                for s, fy in zip(slopes.tolist(), fys.tolist())]
 
-    def refined_min(keys):  # keys(slopes, fys) is the list of a batch's keys
-        def scored(pts):
-            pts, fys, slopes = admissible(pts)
-            return list(zip(pts, keys(slopes, fys)))
-
-        pts, fys, slopes = sample
+    sample = ball_sample(x0, r, sample_count, seed)
+    rows, fys, slopes, used = admissible(sample)
+    pts, n_sample = sample[rows], len(rows)
+    kinds = [alpha_keys] if pf is None else [alpha_keys, product_keys]
+    methods = [set(used) for _ in kinds]  # per key: the sample's and its searches'
+    floor = float(FINEST_RADII[-1]) if "ball-sampling" in methods[0] else 0.0
+    firsts, starts, bounds = [], [], []  # bounds[k]: the first search of key k
+    for keys in kinds:
         vals = keys(slopes, fys)
         # Python's stable sort: np.argsort puts NaN keys (theta' = inf
         # times a slope of 0) elsewhere
-        starts = sorted(range(n_sample), key=vals.__getitem__)[:3]
-        best_val, best_pt = vals[starts[0]], pts[starts[0]]
-        for i in starts:
-            if vals[i] == INF:
-                continue
-            y_ref, v_ref = _compass_search(scored, pts[i], vals[i], h, floor)
-            if v_ref < best_val:
-                best_val, best_pt = v_ref, y_ref
-        return best_val, best_pt
+        order = sorted(range(n_sample), key=vals.__getitem__)[:3]
+        firsts.append((pts[order[0]], vals[order[0]]) if order else (None, INF))
+        bounds.append(len(starts))
+        starts += [(pts[i], vals[i]) for i in order if vals[i] != INF]
 
-    if n_sample:
-        # exact elementwise, and inf where the slope is
-        alpha, alpha_witness = refined_min(lambda slopes, fys: (slopes * slopes / fys).tolist())
-        out["alpha"] = max(float(alpha), 0.0)
-        out["alpha_witness"] = alpha_witness
-    else:
-        out["alpha"] = INF
-        out["alpha_witness"] = None
-    out["alpha_sampling"] = sampling()
+    def scored(probes, owners):
+        rows, fys, slopes, used = admissible(probes)
+        cuts = [*owners[rows].searchsorted(bounds), len(rows)]
+        keys = []
+        for keys_of, used_by, lo, hi in zip(kinds, methods, cuts, cuts[1:]):
+            keys += keys_of(slopes[lo:hi], fys[lo:hi])
+            used_by.update(used[lo:hi])
+        return rows, probes[rows], keys
 
+    found = _compass_searches(scored, starts, 4.0 * r * sample_count ** (-1.0 / x0.size), floor)
+    best = [min([first, *found[lo:hi]], key=lambda e: e[1])
+            for first, lo, hi in zip(firsts, bounds, [*bounds[1:], len(found)])]
+
+    def sampling(used) -> dict:
+        return {"sample_count": sample_count, "seed": seed,
+                "slope_method": "+".join(sorted(used)) or None}
+
+    out = {"n_admissible": n_sample, "alpha": max(float(best[0][1]), 0.0),
+           "alpha_witness": best[0][0], "alpha_sampling": sampling(methods[0])}
     if pf is not None:
-        if n_sample:
-            # Python floats: theta' rounds ``**`` differently on numpy floats
-            prod, prod_witness = refined_min(lambda slopes, fys: [
-                INF if s == INF else pf.theta_deriv(fy) * s
-                for s, fy in zip(slopes.tolist(), fys.tolist())
-            ])
-            out["min_product"] = float(prod)
-            out["product_witness"] = prod_witness
-        else:
-            out["min_product"] = INF
-            out["product_witness"] = None
-    out["sampling"] = sampling()
+        out["min_product"], out["product_witness"] = float(best[1][1]), best[1][0]
+    out["sampling"] = sampling(set().union(*methods))
     return out
 
 

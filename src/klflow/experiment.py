@@ -65,6 +65,11 @@ _TOLERANCE_KEYS = ("certificate", "recursion")
 _RECURSION_KEYS = ("alpha", "delta", "f0", "k_max")
 
 
+def _load_yaml(fh):
+    """A config or manifest file's YAML, parsed by libyaml when it is installed."""
+    return yaml.load(fh, Loader=yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
 def _check_keys(raw, key: str, valid) -> None:
     """Reject a nested block that is not a mapping or holds a key outside
     ``valid``; the message lists the valid keys."""
@@ -126,6 +131,10 @@ class ExperimentConfig:
             _check_complete(self.theta, "theta", _THETA_KEYS)
             c, gamma = (check_real(f"theta {k}", self.theta[k]) for k in _THETA_KEYS)
             make_power_theta(c, gamma)  # rejects gamma outside (0, 1]
+        if self.radii is not None and not isinstance(self.radii, (list, tuple)):
+            raise ValueError(f"radii must be a list of positive finite numbers, got {self.radii!r}")
+        for rr in self.radii or ():
+            check_real("radii entries", rr)
         _check_keys(self.tolerances, "tolerances", _TOLERANCE_KEYS)
         for key, value in self.tolerances.items():
             check_real(f"tolerances {key}", value, positive=False)
@@ -153,8 +162,6 @@ class ExperimentConfig:
             )
         _theta_for(self, entry, x0)
         _radius_for(self, entry, x0)
-        for rr in self.radii or ():
-            check_real("radii entries", rr)
         if self.mode == "prox" and self.tau is None:
             raise ValueError(f"run {self.run_id!r}: prox mode needs tau")
 
@@ -181,7 +188,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = _load_yaml(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path} must hold a mapping")
         return cls.from_dict(raw)
@@ -664,7 +671,7 @@ def load_manifest(path) -> List[ExperimentConfig]:
     """A manifest is a list of config paths or inline config mappings."""
     path = Path(path)
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = _load_yaml(fh)
     if isinstance(raw, dict) and "runs" in raw:
         raw = raw["runs"]
     if not isinstance(raw, list):

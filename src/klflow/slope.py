@@ -139,8 +139,14 @@ def descending_slope(
 
 def descending_slopes(f: Functional, pts: np.ndarray, fxs: np.ndarray):
     """``descending_slope`` at each row of ``pts`` (values ``fxs``), batched: the
-    slopes and the set of methods, bit for bit as the per-point calls give them.
-    Rows without a gradient, with f = +inf, an ``analytic_slope`` or a scalar
+    slopes and the set of methods, bit for bit as the per-point calls give them."""
+    values, methods = row_descending_slopes(f, pts, fxs)
+    return values, set(methods)
+
+
+def row_descending_slopes(f: Functional, pts: np.ndarray, fxs: np.ndarray):
+    """``descending_slopes`` with the method of each row, as a list.  Rows
+    without a gradient, with f = +inf, an ``analytic_slope`` or a scalar
     gradient alone take ``descending_slope`` one by one."""
     values, redo = np.empty(len(fxs)), fxs == INF
     if f.analytic_slope is None and f.smooth_gradient is None:
@@ -152,12 +158,9 @@ def descending_slopes(f: Functional, pts: np.ndarray, fxs: np.ndarray):
         redo |= np.isnan(values)
     else:
         redo[:] = True
-    rest = np.flatnonzero(redo)
-    methods = set()
-    if len(rest) < len(fxs):
-        methods.add("ball-sampling" if f.smooth_gradient is None else "gradient-norm")
-    for i in rest:
+    methods = ["ball-sampling" if f.smooth_gradient is None else "gradient-norm"] * len(fxs)
+    for i in np.flatnonzero(redo):
         est = descending_slope(f, pts[i], fx=float(fxs[i]))
         values[i] = est.value
-        methods.add(est.method)
+        methods[i] = est.method
     return values, methods

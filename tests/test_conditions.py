@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from klflow import (
+    EuclideanBackend,
     Functional,
     check_condition_A,
     check_condition_C,
@@ -16,7 +17,17 @@ from klflow import (
     matched_half_power,
     resolve_entry,
 )
-from klflow.conditions import ConditionReport, check_conditions
+from klflow.conditions import (
+    DEFAULT_SAMPLE_COUNT,
+    REFINE_STEP_TOL,
+    ConditionReport,
+    _scan,
+    check_conditions,
+)
+from klflow.core import INF, norm, row_norms
+from klflow.sampling import SAMPLER_SEED, ball_sample
+from klflow.slope import FINEST_RADII, descending_slopes
+from klflow.theta import ParameterFunction
 
 # entry id, anchor, reference radius used for the equivalence sweep
 EQUIV_ANCHORS = (
@@ -279,7 +290,10 @@ def test_scans_with_exact_slopes_refine_to_the_step_tolerance():
 
 
 def test_a_scan_reads_every_gradient_from_the_batched_oracle():
-    # the per-point scan made 1,175 smooth_gradient calls here
+    # the per-point scan made 1,175 smooth_gradient calls here, and scoring
+    # each search's compass levels apart 79 batched ones; now one call
+    # scores the sample and one each of the 13 compass levels of all six
+    # searches
     f = resolve_entry("quadratic?lambda=1").functional
     calls = {"scalar": 0, "batched": 0}
 
@@ -294,7 +308,7 @@ def test_a_scan_reads_every_gradient_from_the_batched_oracle():
     counted = dataclasses.replace(f, smooth_gradient=gradient, batch_gradient=batch_gradient)
     reps = check_conditions(counted, make_power_theta(math.sqrt(0.5), 0.5), [1.0], 1.5)
     assert all(rep.holds for rep in reps.values())
-    assert calls == {"scalar": 0, "batched": 79}
+    assert calls == {"scalar": 0, "batched": 14}
 
 
 def test_an_oracle_free_scan_keeps_its_value_calls():
@@ -334,3 +348,177 @@ def test_checks_reject_a_sample_count_that_is_not_a_positive_integer(count):
                   lambda: estimate_alpha(f, [1.0], 1.5, sample_count=count)):
         with pytest.raises(ValueError, match="sample_count must be a positive integer"):
             check()
+
+
+# -- the lockstep compass searches against one search at a time ---------------
+
+
+def _one_search_at_a_time(f, x0, r, f_x0, pf, sample_count, seed):
+    """``conditions._scan`` as it was before its searches ran in lockstep: each
+    compass search scores each of its levels as a batch of its own."""
+    methods = set()
+
+    def admissible(pts):
+        pts = pts[row_norms(pts - x0) < r]
+        fys = f.values(pts)
+        keep = (0.0 < fys) & (fys <= f_x0)
+        pts, fys = pts[keep], fys[keep]
+        slopes, used = descending_slopes(f, pts, fys)
+        methods.update(used)
+        return pts, fys, slopes
+
+    def compass_search(scored, y0, v0, h, floor):
+        axes = np.vstack([np.eye(y0.size), -np.eye(y0.size)])
+        y, v, step = y0, v0, h
+        while step > max(REFINE_STEP_TOL * max(1.0, norm(y)), floor):
+            probes = scored(y + step * axes)
+            best = min(probes, key=lambda p: p[1], default=None)
+            if best is not None and best[1] < v:
+                y, v = best
+            else:
+                step /= 4.0
+        return y, v
+
+    sample = admissible(ball_sample(x0, r, sample_count, seed))
+    n_sample = len(sample[1])
+    out = {"n_admissible": n_sample}
+    h = 4.0 * r * (sample_count ** (-1.0 / x0.size))
+    floor = float(FINEST_RADII[-1]) if "ball-sampling" in methods else 0.0
+
+    def sampling():
+        return {"sample_count": sample_count, "seed": seed,
+                "slope_method": "+".join(sorted(methods)) or None}
+
+    def refined_min(keys):
+        def scored(pts):
+            pts, fys, slopes = admissible(pts)
+            return list(zip(pts, keys(slopes, fys)))
+
+        pts, fys, slopes = sample
+        vals = keys(slopes, fys)
+        starts = sorted(range(n_sample), key=vals.__getitem__)[:3]
+        best_val, best_pt = vals[starts[0]], pts[starts[0]]
+        for i in starts:
+            if vals[i] == INF:
+                continue
+            y_ref, v_ref = compass_search(scored, pts[i], vals[i], h, floor)
+            if v_ref < best_val:
+                best_val, best_pt = v_ref, y_ref
+        return best_val, best_pt
+
+    if n_sample:
+        alpha, out["alpha_witness"] = refined_min(lambda s, fys: (s * s / fys).tolist())
+        out["alpha"] = max(float(alpha), 0.0)
+    else:
+        out["alpha"], out["alpha_witness"] = INF, None
+    out["alpha_sampling"] = sampling()
+    if pf is not None:
+        if n_sample:
+            prod, out["product_witness"] = refined_min(lambda slopes, fys: [
+                INF if s == INF else pf.theta_deriv(fy) * s
+                for s, fy in zip(slopes.tolist(), fys.tolist())
+            ])
+            out["min_product"] = float(prod)
+        else:
+            out["min_product"], out["product_witness"] = INF, None
+    out["sampling"] = sampling()
+    return out
+
+
+def _assert_scans_agree(f, x0, r, pf, sample_count=DEFAULT_SAMPLE_COUNT, seed=SAMPLER_SEED):
+    """``_scan`` returns what one search at a time returns, bit for bit."""
+    x0 = np.asarray(x0, dtype=float)
+    f_x0 = f.value(x0)
+
+    def plain(scan):  # points as lists; repr tells every float apart, NaN too
+        return repr(sorted((k, v.tolist() if isinstance(v, np.ndarray) else v)
+                           for k, v in scan.items()))
+
+    got = _scan(f, x0, r, f_x0, pf, sample_count, seed)
+    assert plain(got) == plain(_one_search_at_a_time(f, x0, r, f_x0, pf, sample_count, seed))
+    return got
+
+
+@pytest.mark.parametrize("cid, anchors", [
+    ("quadratic?lambda=1", ([0.5], [1.7])),
+    ("double-well?lambda=1&a=1", ([0.5], [1.7])),
+    ("asymmetric-double-well", ([0.5], [-1.7])),
+    ("truncated-parabola", ([0.5], [-0.7])),
+    ("staircase?m=1&eps=0.1", ([0.5], [1.5])),
+    ("power-potential?p=1", ([0.5], [1.7])),
+    ("power-potential?p=4", ([0.5], [1.7])),
+    ("sharpness?c=1&gamma=0.5&M=4&eps=0.05", ([0.5], [1.7])),
+    ("quadratic?lambda=1&center=0,0", ([1.0, 0.5], [-0.3, 1.2])),
+    ("power-potential?p=1&center=0,0,0", ([0.5, 0.2, -0.1], [1.0, -1.0, 0.5])),
+])
+def test_lockstep_scans_of_every_corpus_entry_are_one_search_at_a_time(cid, anchors):
+    f = resolve_entry(cid).functional
+    for x0 in anchors:
+        for r in (0.5, 1.5):
+            for pf in (None, make_power_theta(0.5, 0.5)):
+                _assert_scans_agree(f, x0, r, pf)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("cid, x0", [
+    ("quadratic?lambda=1", [1.0]),
+    ("quadratic?lambda=1&center=0,0", [1.0, 0.5]),
+])
+def test_lockstep_scans_without_oracles_are_one_search_at_a_time(cid, x0, batched):
+    f = resolve_entry(cid).functional
+    oracle_free = Functional(label=f"oracle-free {cid}", value=f.value, backend=f.backend,
+                             batch_value=f.batch_value if batched else None)
+    for pf in (None, make_power_theta(0.5, 0.5)):
+        scan = _assert_scans_agree(oracle_free, x0, 0.5, pf, sample_count=256)
+        assert scan["sampling"]["slope_method"] == "ball-sampling"
+
+
+def test_lockstep_scans_keep_the_first_of_tied_and_nan_keys():
+    # the slope falls with x1 + x2 on a 2^-20 lattice, so a probe along +e1
+    # ties with the one along +e2 and the first must win; theta'(0.9) is NaN,
+    # and f = 0.9 beyond x1 = 0.4, where a NaN probe must stop a search as
+    # ``min`` stops it
+    def slope(x):
+        return 3.0 - round((x[0] + x[1]) * 2.0**20) / 2.0**20
+
+    tied = Functional(label="tied slopes", value=lambda x: 0.9 if x[0] > 0.4 else 1.0,
+                      backend=EuclideanBackend(2),
+                      smooth_gradient=lambda x: np.array([slope(x), 0.0]))
+    pf = ParameterFunction(theta=lambda u: u, theta_deriv=lambda u: math.nan if u < 0.95 else 1.0)
+    scan = _assert_scans_agree(tied, [0.0, 0.0], 1.0, pf, sample_count=512)
+    assert scan["sampling"]["slope_method"] == "gradient-norm"
+
+
+def test_lockstep_scans_drop_inadmissible_probes():
+    # a NaN probe after an inadmissible one: dropping the inadmissible probe
+    # makes the NaN the first and stops the move; a key of +inf would not
+    k, a = np.array([1.96, 2.7]), 0.2
+    wave = Functional(label="wave", value=lambda x: 1.0 + a * math.sin(k @ x),
+                      backend=EuclideanBackend(2),
+                      smooth_gradient=lambda x: a * math.cos(k @ x) * k)
+    pf = ParameterFunction(theta=lambda u: u,
+                           theta_deriv=lambda u: math.nan if 0.9 < u < 1.1 else u ** -0.5)
+    _assert_scans_agree(wave, [0.47, 0.83], 0.945278, pf, sample_count=256, seed=7)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_lockstep_scans_attribute_slope_methods_to_their_key(batched):
+    # f = |x|^1.5: alpha = 2.25 / sqrt|x| is least at the edge |x| = 1 and,
+    # for gamma = 0.9, theta' |df| = 1.35 |x|^0.35 near 0, where the gradient
+    # oracle is blind and the slope comes from ball sampling
+    blind = 1e-6
+
+    def gradient(x):
+        return None if abs(x[0]) < blind else np.array([1.5 * math.copysign(abs(x[0]) ** 0.5, x[0])])
+
+    def batch_gradient(xs):
+        g = 1.5 * np.sign(xs) * np.abs(xs) ** 0.5
+        return np.where(np.abs(xs) < blind, math.nan, g)
+
+    f = Functional(label="blind near 0", value=lambda x: abs(float(x[0])) ** 1.5,
+                   backend=EuclideanBackend(1), smooth_gradient=gradient,
+                   batch_gradient=batch_gradient if batched else None)
+    scan = _assert_scans_agree(f, [1.0], 1.5, make_power_theta(1.0, 0.9))
+    assert scan["alpha_sampling"]["slope_method"] == "gradient-norm"
+    assert scan["sampling"]["slope_method"] == "ball-sampling+gradient-norm"
+    assert abs(scan["product_witness"][0]) < blind

@@ -1,8 +1,10 @@
 """Experiment configs, run artifacts, manifests, and the CLI front end."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +348,25 @@ def test_load_manifest_forms(tmp_path):
         load_manifest(bad)
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="libyaml is not installed")
+@pytest.mark.parametrize("seed", [0, 3])
+def test_workload_manifests_parse_alike_with_both_yaml_loaders(tmp_path, monkeypatch, seed):
+    # conftest checks every config the other tests load the same way
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        manifest = tmp_path / f"{name}.json"
+        runs = workloads.generate(name, seed)
+        manifest.write_text(json.dumps(workloads.manifest(runs), indent=1) + "\n")
+        text = manifest.read_text()
+        fast, pure = (yaml.load(text, Loader=loader) for loader in (yaml.CSafeLoader, yaml.SafeLoader))
+        assert repr(fast) == repr(pure), name
+        assert len(load_manifest(manifest)) == len(fast)
+
+
 def test_run_suite_aggregates(tmp_path):
     manifest = tmp_path / "suite.yaml"
     manifest.write_text(yaml.safe_dump([dict(FLOW_CFG), dict(RECURSION_CFG)]))
@@ -486,6 +507,11 @@ def test_bad_control_values_exit_2(tmp_path, capsys, base, key, controls, messag
         # a sweep row at r = inf read A_holds true and alpha_estimate inf
         ("radii: [0.5, .inf]\n", "radii entries must be a positive finite number, got inf"),
         ("radii: [0.0]\n", "got 0.0"),
+        # these raised TypeError, or checked each character or key as a radius
+        ("radii: 0.5\n", "radii must be a list of positive finite numbers, got 0.5"),
+        ("radii: true\n", "radii must be a list of positive finite numbers, got True"),
+        ("radii: abc\n", "radii must be a list of positive finite numbers, got 'abc'"),
+        ("radii: {a: 1}\n", "radii must be a list of positive finite numbers, got {'a': 1}"),
     ],
 )
 def test_bad_radii_exit_2(tmp_path, capsys, extra, message):
@@ -494,6 +520,23 @@ def test_bad_radii_exit_2(tmp_path, capsys, extra, message):
     assert cli_main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_bad_radii_exit_2_in_every_mode(tmp_path, capsys):
+    # a recursion run returned before the radii check and passed
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(dict(RECURSION_CFG, radii=0.5)))
+    assert cli_main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 2
+    assert "radii must be a list of positive finite numbers, got 0.5" in capsys.readouterr().err
+
+
+def test_malformed_yaml_exits_2_naming_where(tmp_path, capsys):
+    # libyaml words the error differently from the pure-Python parser
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("id: [unclosed\nmode: flow\n")
+    assert cli_main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "while parsing a flow sequence" in err and 'bad.yaml", line 1, column 5' in err
 
 
 def test_prox_schedule_longer_than_max_steps_exits_2(tmp_path, capsys):
